@@ -56,7 +56,7 @@ def run_batch(
     ``max_retries`` / ``fault_plan``) and observability knobs
     (``trace`` / ``journal``, see :mod:`repro.obs`) pass straight
     through to :class:`~repro.runtime.BatchRunner`; at their defaults
-    the legacy strict fast path runs unchanged.  Unlike a bare
+    a batch is strict, and its first failure aborts it.  Unlike a bare
     BatchRunner, analysis batches default ``min_runs_per_shard=8``:
     small ``workers>0`` batches fall back to serial execution (noted in
     ``report.meta["auto_serial"]``) rather than paying more in process

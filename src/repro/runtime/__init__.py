@@ -20,8 +20,9 @@ The pieces, bottom-up:
 * :mod:`~repro.runtime.faults` — ``FaultPlan``, seeded deterministic
   injection of infrastructure faults (transient raises, hangs past the
   deadline, hard worker kills).
-* :mod:`~repro.runtime.resilience` — per-run timeouts, retry with capped
-  backoff + deterministic jitter, pool rebuilds, and degraded partial
+* :mod:`~repro.runtime.resilience` — the batch engine every backend
+  drives: failure policies (strict, retry, degrade), per-run timeouts,
+  retry with capped backoff + deterministic jitter, and degraded partial
   reports carrying typed ``FailureRecord`` entries.
 """
 

@@ -1,15 +1,15 @@
 """Pluggable execution backends for the batched runtime.
 
-:class:`~repro.runtime.runner.BatchRunner` historically hard-coded its
-two execution strategies — in-process serial and a local
-``ProcessPoolExecutor`` — into ``run()``.  This module extracts that
-choice behind one interface so a batch can execute anywhere shards can
-travel, without the canonical report noticing:
+Every batch runs through one engine,
+:class:`~repro.runtime.resilience._ResilientExecution`, which owns the
+failure policy (strict, retry, degrade).  A backend owns only where the
+shards of each wave execute, behind one method,
+:meth:`ExecutionBackend.execute`:
 
 * :class:`SerialBackend` — the ``workers=0`` reference path, in process.
-* :class:`ProcessPoolBackend` — the local pool, including the
-  once-per-worker spec initializer (shards stay index lists on the wire)
-  and the ``BrokenProcessPool`` rebuild of the resilient engine.
+* :class:`ProcessPoolBackend` — a local ``ProcessPoolExecutor``; a pool
+  broken by a lost worker, or holding a hung one, is terminated and
+  rebuilt for the next wave.
 * :class:`~repro.runtime.remote.RemoteWorkerBackend` — socket-dispatched
   agents started by ``repro worker --connect host:port`` (its own
   module; resolvable here by the ``remote:host:port`` spec string).
@@ -24,26 +24,28 @@ produce byte-identical ``BatchReport.canonical_json()`` for the same
 differentially.
 
 Backends are addressable by name (:func:`resolve_backend`): ``"serial"``,
-``"process"``, and ``"remote:host:port"``; ``None`` keeps the legacy
-mapping from ``workers`` (0 means serial, anything else the pool).
+``"process"``, and ``"remote:host:port"``; ``None`` maps ``workers``
+(0 means serial, anything else the pool).
 """
 
 from __future__ import annotations
 
 import math
+import time
 from abc import ABC, abstractmethod
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+
+from ..obs import metrics as obs_metrics
+from .resilience import _execute_resilient_shard, _ResilientExecution
 
 try:
     from concurrent.futures.process import BrokenProcessPool
 except ImportError:  # pragma: no cover
     BrokenProcessPool = None
 
-#: records + cache-stats pair every strict execution returns
-StrictResult = Tuple[List[Any], Optional[Dict[str, int]]]
-#: records + failures + cache-stats triple of the resilient engine
-ResilientResult = Tuple[List[Any], List[Any], Optional[Dict[str, int]]]
+#: records + failures + cache-stats triple every execution returns
+ExecutionResult = Tuple[List[Any], List[Any], Optional[Dict[str, int]]]
 
 
 def plan_shards(
@@ -97,25 +99,17 @@ class ExecutionBackend(ABC):
         return {"backend": self.name}
 
     @abstractmethod
-    def run_strict(
-        self, spec, n_runs: int, *, chunk_size: Optional[int] = None
-    ) -> StrictResult:
-        """Execute the batch on the legacy strict path (first failure raises)."""
+    def execute(
+        self, spec, n_runs: int, *, chunk_size: Optional[int] = None, **policy
+    ) -> ExecutionResult:
+        """Execute runs ``0..n_runs-1`` of ``spec`` through the batch engine.
 
-    @abstractmethod
-    def run_resilient(
-        self,
-        spec,
-        n_runs: int,
-        *,
-        chunk_size: Optional[int] = None,
-        failure_policy: str = "retry",
-        run_timeout: Optional[float] = None,
-        max_retries: int = 2,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
-    ) -> ResilientResult:
-        """Execute the batch through the resilience engine."""
+        ``policy`` carries the engine's failure-policy knobs
+        (``failure_policy``, ``run_timeout``, ``max_retries``,
+        ``backoff_base``, ``backoff_cap``); without them the batch is
+        strict, and its first failure raises.  Returns ``(records,
+        failures, cache_stats)`` with records sorted by run index.
+        """
 
     def close(self) -> None:
         """Release backend resources (idempotent; serial/pool hold none)."""
@@ -132,29 +126,50 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def run_strict(self, spec, n_runs, *, chunk_size=None) -> StrictResult:
-        from .runner import _execute_runs
-
+    def execute(self, spec, n_runs, *, chunk_size=None, **policy) -> ExecutionResult:
         self.last_run_info = self.describe()
-        return _execute_runs(spec, range(n_runs))
+        state = _ResilientExecution(
+            spec, n_runs, workers=0, chunk_size=chunk_size, **policy
+        )
 
-    def run_resilient(self, spec, n_runs, *, chunk_size=None, **knobs) -> ResilientResult:
-        from .resilience import _ResilientExecution
+        def run_wave(shards: List[List[int]]) -> None:
+            # one run at a time, so a strict batch stops at the failing run
+            for shard in shards:
+                for i in shard:
+                    state.absorb(
+                        *_execute_resilient_shard(
+                            spec, (i,), state.attempts, state.run_timeout,
+                            in_worker=False,
+                        )
+                    )
 
-        self.last_run_info = self.describe()
-        return _ResilientExecution(
-            spec, n_runs, workers=0, chunk_size=chunk_size, **knobs
-        ).run_serial()
+        return state.run(run_wave)
+
+
+def _terminate_pool(pool: ProcessPoolExecutor) -> None:
+    """Shut a pool down hard: cancel queued work, kill and reap its processes."""
+    # read before shutdown(), which drops the executor's process table
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for proc in processes:
+        try:
+            proc.terminate()
+        except Exception:  # pragma: no cover - already dead
+            pass
+    for proc in processes:
+        proc.join(timeout=5.0)
 
 
 class ProcessPoolBackend(ExecutionBackend):
     """Local ``ProcessPoolExecutor`` sharding.
 
-    The strict path ships the batch spec once per worker through the
-    pool initializer (shard submissions stay bare index lists); the
-    resilient path delegates to the wave engine of
-    :mod:`repro.runtime.resilience`, which owns pool rebuilds after
-    ``BrokenProcessPool`` and the hung-worker backstop.
+    Every shard submission carries the batch spec (a few hundred bytes
+    pickled) and the attempt counts of its runs.  Shards are absorbed as
+    they complete, so a strict batch aborts at its first failure: queued
+    shards are cancelled and the pool's processes terminated.  A pool
+    broken by a lost worker, or holding one hung past the backstop
+    deadline, is terminated and rebuilt for the next wave; a fault-free
+    batch shuts its pool down gracefully.
 
     ``workers`` is the *configured* width; the width actually spawned is
     re-clamped against :func:`~repro.runtime.runner._usable_cores` at
@@ -186,74 +201,111 @@ class ProcessPoolBackend(ExecutionBackend):
 
         return max(1, min(self.workers, runner._usable_cores()))
 
-    def _note_spawn(self, width: int) -> None:
+    def execute(self, spec, n_runs, *, chunk_size=None, **policy) -> ExecutionResult:
+        width = self.spawn_width()
         info = self.describe()
         info["workers_spawned"] = width
         if width != self.workers:
             info["clamped_to_cores"] = True
         self.last_run_info = info
-
-    def run_strict(self, spec, n_runs, *, chunk_size=None) -> StrictResult:
-        from .runner import _execute_shard, _init_worker
-
-        width = self.spawn_width()
-        self._note_spawn(width)
-        shards = plan_shards(
-            range(n_runs), workers=width, chunk_size=chunk_size or self.chunk_size
-        )
-        records: List[Any] = []
-        cache_stats: Optional[Dict[str, int]] = None
-        with ProcessPoolExecutor(
-            max_workers=width,
-            initializer=_init_worker,
-            initargs=(spec,),
-        ) as pool:
-            futures = [pool.submit(_execute_shard, shard) for shard in shards]
-            try:
-                done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-                first_exc = None
-                for fut in done:
-                    exc = fut.exception()
-                    if exc is not None and first_exc is None:
-                        first_exc = exc
-                if first_exc is not None:
-                    raise first_exc
-                for fut in futures:
-                    shard_records, shard_stats = fut.result()
-                    records.extend(shard_records)
-                    if shard_stats is not None:
-                        if cache_stats is None:
-                            cache_stats = {"hits": 0, "misses": 0}
-                        cache_stats["hits"] += shard_stats["hits"]
-                        cache_stats["misses"] += shard_stats["misses"]
-            except BaseException as exc:
-                # cancel_futures drops every still-queued shard; a plain
-                # fut.cancel() loop would leave them to execute during the
-                # implicit shutdown below, delaying a strict abort
-                pool.shutdown(wait=False, cancel_futures=True)
-                if BrokenProcessPool is not None and isinstance(
-                    exc, BrokenProcessPool
-                ):
-                    raise RuntimeError(
-                        f"a worker process died while batching "
-                        f"{getattr(spec.protocol, 'name', '?')} "
-                        f"(n={spec.n}, seed={spec.master_seed})"
-                    ) from exc
-                raise
-        return records, cache_stats
-
-    def run_resilient(self, spec, n_runs, *, chunk_size=None, **knobs) -> ResilientResult:
-        from .resilience import _ResilientExecution
-
-        width = self.spawn_width()
-        self._note_spawn(width)
-        return _ResilientExecution(
+        state = _ResilientExecution(
             spec,
             n_runs,
             workers=width,
             chunk_size=chunk_size or self.chunk_size,
-            **knobs,
-        ).run_pooled()
+            **policy,
+        )
+        pool = ProcessPoolExecutor(max_workers=width)
+
+        def run_wave(shards: List[List[int]]) -> None:
+            nonlocal pool
+            pool = _run_pool_wave(pool, width, state, shards)
+
+        try:
+            result = state.run(run_wave)
+        except BaseException:
+            _terminate_pool(pool)
+            raise
+        pool.shutdown(wait=True)
+        return result
+
+
+def _run_pool_wave(
+    pool: ProcessPoolExecutor,
+    width: int,
+    state: _ResilientExecution,
+    shards: List[List[int]],
+) -> ProcessPoolExecutor:
+    """Submit one wave of shards, absorbing each one as it completes.
+
+    Returns the pool for the next wave: a ``kill`` fault breaks the
+    whole ``ProcessPoolExecutor``, and a worker hung past the
+    coordinator-side backstop deadline can only be reclaimed by
+    terminating the pool; either way the next wave gets a fresh one.
+    """
+    run_timeout = state.run_timeout
+    futures: Dict[Any, List[int]] = {}
+    deadlines: Dict[Any, Optional[float]] = {}
+    for shard in shards:
+        fut = pool.submit(
+            _execute_resilient_shard,
+            state.spec,
+            shard,
+            {i: state.attempts[i] for i in shard},
+            run_timeout,
+        )
+        futures[fut] = shard
+        deadlines[fut] = (
+            None
+            if run_timeout is None
+            # generous backstop: the in-worker SIGALRM should fire far
+            # earlier; this only triggers for alarm-immune hangs
+            else time.monotonic() + run_timeout * (3 * len(shard) + 2) + 1.0
+        )
+    lost: List[Tuple[int, str]] = []
+    pending = set(futures)
+    broken = False
+    while pending:
+        poll = None if run_timeout is None else 0.05
+        done, _ = wait(pending, timeout=poll, return_when=FIRST_COMPLETED)
+        for fut in done:
+            pending.discard(fut)
+            try:
+                outcomes, stats_delta = fut.result()
+            except Exception as exc:
+                if BrokenProcessPool is not None and isinstance(
+                    exc, BrokenProcessPool
+                ):
+                    # every sibling future is (or is about to be) failed
+                    # by the executor; drain them via the loop
+                    broken = True
+                    lost.extend((i, "worker-lost") for i in futures[fut])
+                    continue
+                raise
+            state.absorb(outcomes, stats_delta)  # strict raises right here
+        if pending and run_timeout is not None:
+            now = time.monotonic()
+            overdue = {
+                fut
+                for fut in pending
+                if deadlines[fut] is not None and now > deadlines[fut]
+            }
+            if overdue:
+                _terminate_pool(pool)
+                for fut in pending:
+                    label = "timeout" if fut in overdue else "worker-lost"
+                    lost.extend((i, label) for i in futures[fut])
+                pending = set()
+                broken = True
+    if not broken:
+        return pool
+    _terminate_pool(pool)
+    state.absorb(lost=lost)  # strict raises before a fresh pool exists
+    obs_metrics.inc(
+        "repro_pool_rebuilds_total",
+        help="process pools rebuilt after a lost or hung worker",
+    )
+    return ProcessPoolExecutor(max_workers=width)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +362,8 @@ def resolve_backend(
 
     ``backend`` may be:
 
-    * ``None`` — the legacy mapping: ``workers == 0`` runs serially,
-      anything else on a local process pool;
+    * ``None`` — map ``workers``: ``0`` runs serially, anything else
+      on a local process pool;
     * an :class:`ExecutionBackend` instance — returned as-is (caller
       owns its lifecycle);
     * a name — ``"serial"``, ``"process"``, or ``"remote[:host:port]"``

@@ -12,19 +12,20 @@ Design lineage, deliberately:
 
 * **Spec-once protocol (PR 5).**  The batch spec crosses the wire once
   per worker per batch (one ``SPEC`` frame); every subsequent ``SHARD``
-  frame carries only run indices and attempt counts — the same economy
-  that took the local pool from 0.865x to parity.
+  frame carries only run indices and attempt counts.  (The local pool
+  pickles the spec into every shard instead: a few hundred bytes, well
+  under a millisecond per batch, with no per-worker spec state.)
 * **Packed blob transport (PR 6).**  Frames are pickled payloads, so
   every label inside a spec (witness paths, pinned adversary state)
   ships in the packed byte form automatically; the
   ``REPRO_DISABLE_PACKED_LABELS=1`` hatch applies per process, and the
   differential suite runs both legs over this backend.
 * **Fault handling (PR 3).**  A dropped connection is a lost shard: the
-  runs consume one attempt each, route through the shared
-  ``_ResilientExecution`` bookkeeping, and are resubmitted to surviving
-  (or newly connecting) workers under the retry/degrade policies.  A
-  worker hung past the coordinator backstop deadline is disconnected
-  and treated the same way.  Successful retries are byte-identical to
+  runs consume one attempt each, route through the
+  ``_ResilientExecution`` engine every backend shares, and are
+  resubmitted to surviving (or newly connecting) workers under the
+  retry/degrade policies.  A worker hung past the coordinator backstop
+  deadline is disconnected and treated the same way.  Successful retries are byte-identical to
   the fault-free serial reference — seed streams are keyed by run
   index, never by which worker executed it.
 
@@ -55,10 +56,11 @@ import struct
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs import metrics as obs_metrics
-from .backends import ExecutionBackend, ResilientResult, StrictResult
+from .backends import ExecutionBackend, ExecutionResult
+from .resilience import _execute_resilient_shard, _ResilientExecution
 
 PROTOCOL_VERSION = 1
 
@@ -242,8 +244,7 @@ class RemoteWorkerBackend(ExecutionBackend):
 
     Strict-policy batches surface the first failure exactly like the
     local backends (the original exception where it survived pickling);
-    worker loss under strict aborts the batch, mirroring the pool's
-    ``BrokenProcessPool`` behaviour.
+    worker loss under strict aborts the batch, as on the pool.
     """
 
     name = "remote"
@@ -402,38 +403,7 @@ class RemoteWorkerBackend(ExecutionBackend):
 
     # -- ExecutionBackend --------------------------------------------------
 
-    def run_strict(self, spec, n_runs, *, chunk_size=None) -> StrictResult:
-        records, failures, stats = self._execute(
-            spec,
-            n_runs,
-            chunk_size=chunk_size,
-            failure_policy="strict",
-            run_timeout=None,
-            max_retries=0,
-            backoff_base=0.0,
-            backoff_cap=0.0,
-        )
-        return records, stats
-
-    def run_resilient(self, spec, n_runs, *, chunk_size=None, **knobs) -> ResilientResult:
-        return self._execute(spec, n_runs, chunk_size=chunk_size, **knobs)
-
-    # -- the dispatch engine -----------------------------------------------
-
-    def _execute(
-        self,
-        spec,
-        n_runs: int,
-        *,
-        chunk_size: Optional[int],
-        failure_policy: str,
-        run_timeout: Optional[float],
-        max_retries: int,
-        backoff_base: float,
-        backoff_cap: float,
-    ) -> ResilientResult:
-        from .resilience import _ResilientExecution, _shard
-
+    def execute(self, spec, n_runs, *, chunk_size=None, **policy) -> ExecutionResult:
         if self._closed:
             raise RuntimeError("remote backend is closed")
         state = _ResilientExecution(
@@ -441,11 +411,7 @@ class RemoteWorkerBackend(ExecutionBackend):
             n_runs,
             workers=self.min_workers,
             chunk_size=chunk_size or self.chunk_size,
-            failure_policy=failure_policy,
-            run_timeout=run_timeout,
-            max_retries=max_retries,
-            backoff_base=backoff_base,
-            backoff_cap=backoff_cap,
+            **policy,
         )
         self._spec_counter += 1
         spec_id = self._spec_counter
@@ -460,26 +426,11 @@ class RemoteWorkerBackend(ExecutionBackend):
         )
         self.last_run_info = info
         self._wait_for_workers(self.min_workers)
-        cache_stats: Optional[Dict[str, int]] = None
-        wave = list(range(n_runs))
-        while wave:
-            outcomes, lost, stats_deltas = self._run_wave(
-                spec_id, spec_blob, _shard(wave, state.chunk), state, run_timeout, info
-            )
-            for delta in stats_deltas:
-                if cache_stats is None:
-                    cache_stats = {"hits": 0, "misses": 0}
-                cache_stats["hits"] += delta["hits"]
-                cache_stats["misses"] += delta["misses"]
-            retry = state.absorb_wave(
-                outcomes, lost, lost_detail="remote worker connection lost"
-            )
-            if retry:
-                state._backoff(retry)
-            wave = retry
+        result = state.run(
+            lambda shards: self._run_wave(spec_id, spec_blob, shards, state, info)
+        )
         info["workers_connected"] = self.workers_connected()
-        records, failures = state.results()
-        return records, failures, cache_stats
+        return result
 
     def _next_shard_id(self) -> int:
         self._shard_counter += 1
@@ -510,7 +461,6 @@ class RemoteWorkerBackend(ExecutionBackend):
         spec_blob: bytes,
         shard: Tuple[int, List[int]],
         state,
-        run_timeout: Optional[float],
         info: Dict[str, Any],
     ) -> bool:
         """Ship spec (once per worker per batch) + one shard to ``conn``."""
@@ -519,6 +469,7 @@ class RemoteWorkerBackend(ExecutionBackend):
                 return False
             conn.spec_sent = spec_id
         shard_id, indices = shard
+        run_timeout = state.run_timeout
         payload = pickle.dumps(
             (spec_id, shard_id, list(indices),
              {i: state.attempts[i] for i in indices}, run_timeout),
@@ -567,9 +518,8 @@ class RemoteWorkerBackend(ExecutionBackend):
         spec_blob: bytes,
         shards: List[List[int]],
         state,
-        run_timeout: Optional[float],
         info: Dict[str, Any],
-    ) -> Tuple[List[Any], List[Tuple[int, str]], List[Dict[str, int]]]:
+    ) -> None:
         """Dispatch one wave of shards across whoever is connected.
 
         Workers may join mid-wave (they are put to work immediately) and
@@ -578,12 +528,15 @@ class RemoteWorkerBackend(ExecutionBackend):
         returns within ``accept_timeout``, the remaining shards of the
         wave are recorded lost rather than stalling forever — the retry
         policy decides what happens to them next.
+
+        The wave is absorbed into ``state`` only once every shard is back
+        or written off, so an abort never leaves a shard of this batch in
+        flight on an agent.
         """
         queue = deque((self._next_shard_id(), list(s)) for s in shards)
         active = {shard_id for shard_id, _ in queue}
-        outcomes: List[Any] = []
+        finished: List[Tuple[List[Any], Optional[Dict[str, int]]]] = []
         lost: List[Tuple[int, str]] = []
-        stats_deltas: List[Dict[str, int]] = []
         starved_since: Optional[float] = None
 
         def in_flight() -> List[_WorkerConn]:
@@ -597,7 +550,7 @@ class RemoteWorkerBackend(ExecutionBackend):
                 if conn.ready:
                     shard = queue.popleft()
                     if not self._dispatch(
-                        conn, spec_id, spec_blob, shard, state, run_timeout, info
+                        conn, spec_id, spec_blob, shard, state, info
                     ):
                         queue.appendleft(shard)  # conn died before takeoff
             if queue and not self._conns:
@@ -637,19 +590,18 @@ class RemoteWorkerBackend(ExecutionBackend):
                         conn.shard = None
                         conn.deadline = None
                         if shard_id in active:
-                            outcomes.extend(shard_outcomes)
-                            if delta is not None:
-                                stats_deltas.append(delta)
+                            finished.append((shard_outcomes, delta))
                 elif op == OP_BYE:
                     self._note_loss(conn, "worker-lost", lost, info)
                     self._drop(conn)
-            if run_timeout is not None:
-                now = time.monotonic()
-                for conn in in_flight():
-                    if conn.deadline is not None and now > conn.deadline:
-                        self._note_loss(conn, "timeout", lost, info)
-                        self._drop(conn)
-        return outcomes, lost, stats_deltas
+            now = time.monotonic()
+            for conn in in_flight():
+                if conn.deadline is not None and now > conn.deadline:
+                    self._note_loss(conn, "timeout", lost, info)
+                    self._drop(conn)
+        for shard_outcomes, delta in finished:
+            state.absorb(shard_outcomes, delta)
+        state.absorb(lost=lost, lost_detail="remote worker connection lost")
 
 
 # ---------------------------------------------------------------------------
@@ -784,8 +736,6 @@ def _serve_connection(
                         f"shard {shard_id} references unknown spec {spec_id} "
                         "(coordinator must send SPEC first)"
                     )
-                from .resilience import _execute_resilient_shard
-
                 if execution_lock is not None:
                     with execution_lock:
                         result = _execute_resilient_shard(

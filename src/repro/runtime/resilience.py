@@ -1,9 +1,9 @@
-"""Resilient batch execution: per-run timeouts, retries, degraded reports.
+"""The batch engine: failure policies, per-run timeouts, retries.
 
-PR 1's :class:`~repro.runtime.runner.BatchRunner` is deliberately brittle
-("an exception in any run aborts the batch").  This module is the layer
-that makes large Monte Carlo sweeps survive infrastructure faults — the
-injected ones of :mod:`repro.runtime.faults` and the real ones they
+Every batch :class:`~repro.runtime.runner.BatchRunner` executes goes
+through :class:`_ResilientExecution`, whichever backend runs it.  The
+engine makes large Monte Carlo sweeps survive infrastructure faults —
+the injected ones of :mod:`repro.runtime.faults` and the real ones they
 model — without ever compromising the runtime's central invariant:
 
     **a run that succeeds after retries is byte-identical to its
@@ -20,8 +20,9 @@ times, exactly like ``RunRecord.extra``.
 Failure policies (:data:`FAILURE_POLICIES`):
 
 ``strict``
-    PR-1 semantics: the first failure aborts the batch and re-raises
-    (the original exception where it survived pickling).
+    the default, a zero-retry policy: the first failure aborts the
+    batch and raises the original exception where it survived
+    pickling, otherwise a ``RuntimeError`` naming the batch.
 ``retry``
     each failed run is retried up to ``max_retries`` times with capped
     exponential backoff + deterministic jitter; a run that exhausts its
@@ -35,33 +36,25 @@ Mechanics: per-run wall-clock timeouts use ``SIGALRM`` (available in the
 coordinating main thread and in pool workers, which execute tasks on
 their main thread); where ``SIGALRM`` is unavailable the deadline is not
 enforced in-process and only the coordinator-side backstop applies.  A
-worker hard-killed mid-shard (``BrokenProcessPool``) or blown far past
-its deadline (hung beyond the in-worker alarm) costs the whole pool: the
-coordinator terminates it, rebuilds a fresh one, and resubmits the lost
-shards — each lost run consuming one attempt.
+worker hard-killed mid-shard or hung past that backstop costs its
+shard: the backend (:mod:`repro.runtime.backends`) reports the shard's
+runs lost, each consuming one attempt, and the engine resubmits them.
 """
 
 from __future__ import annotations
 
-import math
 import pickle
 import signal
 import threading
 import time
 from collections import defaultdict
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import metrics as obs_metrics
 from .faults import InjectedFault, clear_fault_plan, install_fault_plan
 from .seeds import retry_jitter
-
-try:  # pragma: no cover - exercised only when a worker dies hard
-    from concurrent.futures.process import BrokenProcessPool
-except ImportError:  # pragma: no cover
-    BrokenProcessPool = None
 
 FAILURE_POLICIES = ("strict", "retry", "degrade")
 
@@ -191,7 +184,9 @@ def _picklable_or_none(exc: BaseException) -> Optional[BaseException]:
 def _attempt_run(
     spec, index: int, attempt: int, run_timeout: Optional[float], in_worker: bool
 ) -> _RunOutcome:
-    from .runner import execute_one_run  # runner imports us lazily; avoid a cycle
+    # imported per call: runner imports this module (via backends) at load
+    # time, and a patched ``runner.execute_one_run`` must be honoured
+    from .runner import execute_one_run
 
     t0 = time.perf_counter()
     try:
@@ -217,11 +212,11 @@ def _execute_resilient_shard(
     run_timeout: Optional[float],
     in_worker: bool = True,
 ) -> Tuple[List[_RunOutcome], Optional[Dict[str, int]]]:
-    """Worker entry point: run a shard, catching per-run failures.
+    """Shard entry point on every backend: run a shard, catching failures.
 
-    Unlike the legacy ``_execute_runs``, failures do not escape (except a
-    ``kill`` fault's ``os._exit``, which nothing can catch): each run
-    reports an outcome, so one bad run never poisons its shard-mates.
+    Failures do not escape (except a ``kill`` fault's ``os._exit``,
+    which nothing can catch): each run reports an outcome, so one bad
+    run never poisons its shard-mates.
 
     ``in_worker`` stays True in disposable pool/agent processes; the
     in-process remote worker harness of :mod:`repro.runtime.remote`
@@ -261,24 +256,16 @@ def _spec_context(spec) -> str:
     return f"{name} (n={spec.n}, seed={spec.master_seed})"
 
 
-def _shard(indices: Sequence[int], chunk: int) -> List[List[int]]:
-    indices = list(indices)
-    return [indices[lo : lo + chunk] for lo in range(0, len(indices), chunk)]
-
-
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Shut a pool down hard: cancel queued work and kill its processes."""
-    pool.shutdown(wait=False, cancel_futures=True)
-    processes = getattr(pool, "_processes", None) or {}
-    for proc in list(processes.values()):  # pragma: no branch
-        try:
-            proc.terminate()
-        except Exception:  # pragma: no cover - already dead
-            pass
-
-
 class _ResilientExecution:
-    """State machine for one resilient batch (serial or pooled)."""
+    """Failure-policy state machine for one batch, on any backend.
+
+    The engine owns the policy; a backend owns transport.  :meth:`run`
+    plans the shards and calls the backend's ``run_wave(shards)`` once
+    per wave; the backend hands every finished shard (and every run it
+    lost) to :meth:`absorb`, which raises at once under ``strict`` or
+    when a ``retry`` run exhausts its budget.  Whatever failed without
+    raising is resubmitted in the next wave, after a backoff.
+    """
 
     def __init__(
         self,
@@ -287,18 +274,16 @@ class _ResilientExecution:
         *,
         workers: int,
         chunk_size: Optional[int],
-        failure_policy: str,
-        run_timeout: Optional[float],
-        max_retries: int,
-        backoff_base: float,
-        backoff_cap: float,
+        failure_policy: str = "strict",
+        run_timeout: Optional[float] = None,
+        max_retries: int = 2,
+        backoff_base: float = 0.05,
+        backoff_cap: float = 2.0,
     ):
         self.spec = spec
         self.n_runs = n_runs
         self.workers = workers
-        self.chunk = chunk_size or (
-            max(1, math.ceil(n_runs / (workers * 4))) if workers else n_runs
-        )
+        self.chunk_size = chunk_size
         self.policy = failure_policy
         self.run_timeout = run_timeout
         self.retries = 0 if failure_policy == "strict" else max_retries
@@ -308,16 +293,11 @@ class _ResilientExecution:
         self.elapsed: Dict[int, float] = defaultdict(float)
         self.records: Dict[int, Any] = {}
         self.failures: Dict[int, FailureRecord] = {}
-
-    # -- shared failure bookkeeping ---------------------------------------
+        self.cache_stats: Optional[Dict[str, int]] = None
+        self._retry: List[int] = []
 
     def _note_failure(
-        self,
-        index: int,
-        fault: str,
-        error: str,
-        exc: Optional[BaseException],
-        retry_indices: List[int],
+        self, index: int, fault: str, error: str, exc: Optional[BaseException]
     ) -> None:
         """One attempt of ``index`` failed; decide retry / abort / degrade."""
         if fault == "timeout":
@@ -333,7 +313,7 @@ class _ResilientExecution:
                 f"[{fault}]: {error}"
             )
         if self.attempts[index] <= self.retries:
-            retry_indices.append(index)
+            self._retry.append(index)
             obs_metrics.inc(
                 "repro_run_retries_total",
                 help="run attempts resubmitted after a failure",
@@ -358,21 +338,25 @@ class _ResilientExecution:
             error=error,
         )
 
-    def absorb_wave(
+    def absorb(
         self,
-        outcomes: Sequence[_RunOutcome],
-        lost: Sequence[Tuple[int, str]],
+        outcomes: Sequence[_RunOutcome] = (),
+        stats_delta: Optional[Dict[str, int]] = None,
+        lost: Sequence[Tuple[int, str]] = (),
         lost_detail: str = "worker died or hung",
-    ) -> List[int]:
-        """Fold one wave's outcomes and losses into the execution state.
+    ) -> None:
+        """Fold one finished shard (or a wave's lost runs) into the state.
 
         Every outcome and loss consumes one attempt of its run; failures
-        route through :meth:`_note_failure` (which raises under strict /
-        exhausted-retry policies).  Returns the sorted run indices to
-        resubmit.  Shared by the pooled path and the remote coordinator —
-        the policy semantics must not depend on where shards executed.
+        route through :meth:`_note_failure`, which raises under strict /
+        exhausted-retry policies.  The policy semantics must not depend
+        on where the shard executed.
         """
-        retry: List[int] = []
+        if stats_delta is not None:
+            if self.cache_stats is None:
+                self.cache_stats = {"hits": 0, "misses": 0}
+            self.cache_stats["hits"] += stats_delta["hits"]
+            self.cache_stats["misses"] += stats_delta["misses"]
         for outcome in outcomes:
             self.attempts[outcome.index] += 1
             self.elapsed[outcome.index] += outcome.elapsed
@@ -380,11 +364,7 @@ class _ResilientExecution:
                 self.records[outcome.index] = outcome.record
             else:
                 self._note_failure(
-                    outcome.index,
-                    outcome.fault,
-                    outcome.error,
-                    outcome.exc,
-                    retry,
+                    outcome.index, outcome.fault, outcome.error, outcome.exc
                 )
         for index, fault in lost:
             self.attempts[index] += 1
@@ -394,10 +374,33 @@ class _ResilientExecution:
                 f"shard lost: {lost_detail} while batching "
                 f"{_spec_context(self.spec)}",
                 None,
-                retry,
             )
-        retry.sort()
-        return retry
+
+    def run(
+        self, run_wave: Callable[[List[List[int]]], None]
+    ) -> Tuple[List[Any], List[FailureRecord], Optional[Dict[str, int]]]:
+        """Drive waves until every run has a record or a failure record.
+
+        Returns ``(records, failures, cache_stats)`` with both lists
+        sorted by run index.  Retry waves keep the first wave's chunk
+        size.
+        """
+        from .backends import plan_shards  # backends imports this module at load
+
+        wave = plan_shards(
+            range(self.n_runs), workers=self.workers, chunk_size=self.chunk_size
+        )
+        chunk = len(wave[0]) if wave else 1
+        while wave:
+            run_wave(wave)
+            retry, self._retry = sorted(self._retry), []
+            if not retry:
+                break
+            self._backoff(retry)
+            wave = plan_shards(retry, chunk_size=chunk)
+        records = [self.records[i] for i in sorted(self.records)]
+        failures = [self.failures[i] for i in sorted(self.failures)]
+        return records, failures, self.cache_stats
 
     def _backoff(self, retry_indices: Sequence[int]) -> None:
         delay = max(
@@ -411,184 +414,3 @@ class _ResilientExecution:
             for i in retry_indices
         )
         time.sleep(delay)
-
-    def results(self) -> Tuple[List[Any], List[FailureRecord]]:
-        records = [self.records[i] for i in sorted(self.records)]
-        failures = [self.failures[i] for i in sorted(self.failures)]
-        return records, failures
-
-    # -- serial path -------------------------------------------------------
-
-    def run_serial(self) -> Tuple[List[Any], List[FailureRecord], Optional[Dict[str, int]]]:
-        spec = self.spec
-        plan = spec.fault_plan
-        if plan is not None:
-            install_fault_plan(plan)
-        cache = getattr(spec.instance_factory, "cache", None)
-        stats_before = cache.stats() if cache is not None else None
-        try:
-            for i in range(self.n_runs):
-                while True:
-                    outcome = _attempt_run(
-                        spec, i, self.attempts[i], self.run_timeout, in_worker=False
-                    )
-                    self.attempts[i] += 1
-                    self.elapsed[i] += outcome.elapsed
-                    if outcome.record is not None:
-                        self.records[i] = outcome.record
-                        break
-                    retry: List[int] = []
-                    self._note_failure(
-                        i, outcome.fault, outcome.error, outcome.exc, retry
-                    )
-                    if not retry:
-                        break  # degraded: recorded as a failure
-                    self._backoff(retry)
-        finally:
-            if plan is not None:
-                clear_fault_plan(plan)
-        stats = None
-        if stats_before is not None:
-            after = cache.stats()
-            stats = {
-                "hits": after["hits"] - stats_before["hits"],
-                "misses": after["misses"] - stats_before["misses"],
-            }
-        records, failures = self.results()
-        return records, failures, stats
-
-    # -- pooled path -------------------------------------------------------
-
-    def run_pooled(self) -> Tuple[List[Any], List[FailureRecord], Optional[Dict[str, int]]]:
-        cache_stats: Optional[Dict[str, int]] = None
-        pool = ProcessPoolExecutor(max_workers=self.workers)
-        wave = _shard(range(self.n_runs), self.chunk)
-        try:
-            while wave:
-                outcomes, lost, stats_deltas, pool = self._run_wave(pool, wave)
-                for delta in stats_deltas:
-                    if cache_stats is None:
-                        cache_stats = {"hits": 0, "misses": 0}
-                    cache_stats["hits"] += delta["hits"]
-                    cache_stats["misses"] += delta["misses"]
-                retry = self.absorb_wave(outcomes, lost)
-                if retry:
-                    self._backoff(retry)
-                    wave = _shard(retry, self.chunk)
-                else:
-                    wave = []
-        finally:
-            _terminate_pool(pool)
-        records, failures = self.results()
-        return records, failures, cache_stats
-
-    def _run_wave(
-        self, pool: ProcessPoolExecutor, shards: List[List[int]]
-    ) -> Tuple[List[_RunOutcome], List[Tuple[int, str]], List[Dict[str, int]], ProcessPoolExecutor]:
-        """Submit one wave of shards; collect outcomes and lost runs.
-
-        Returns the (possibly rebuilt) pool: a ``kill`` fault breaks the
-        whole ``ProcessPoolExecutor``, and a worker hung past the
-        coordinator-side backstop deadline can only be reclaimed by
-        terminating the pool; either way the next wave gets a fresh one.
-        """
-        futures: Dict[Any, List[int]] = {}
-        deadlines: Dict[Any, Optional[float]] = {}
-        for shard in shards:
-            fut = pool.submit(
-                _execute_resilient_shard,
-                self.spec,
-                shard,
-                {i: self.attempts[i] for i in shard},
-                self.run_timeout,
-            )
-            futures[fut] = shard
-            deadlines[fut] = (
-                None
-                if self.run_timeout is None
-                # generous backstop: the in-worker SIGALRM should fire far
-                # earlier; this only triggers for alarm-immune hangs
-                else time.monotonic() + self.run_timeout * (3 * len(shard) + 2) + 1.0
-            )
-        outcomes: List[_RunOutcome] = []
-        lost: List[Tuple[int, str]] = []
-        stats_deltas: List[Dict[str, int]] = []
-        pending = set(futures)
-        broken = False
-        while pending:
-            poll = None if self.run_timeout is None else 0.05
-            done, _ = wait(pending, timeout=poll, return_when=FIRST_COMPLETED)
-            for fut in done:
-                pending.discard(fut)
-                try:
-                    shard_outcomes, delta = fut.result()
-                except Exception as exc:
-                    if BrokenProcessPool is not None and isinstance(
-                        exc, BrokenProcessPool
-                    ):
-                        # every sibling future is (or is about to be)
-                        # failed by the executor; drain them via the loop
-                        broken = True
-                        lost.extend((i, "worker-lost") for i in futures[fut])
-                        continue
-                    raise
-                else:
-                    outcomes.extend(shard_outcomes)
-                    if delta is not None:
-                        stats_deltas.append(delta)
-            if pending and self.run_timeout is not None:
-                now = time.monotonic()
-                overdue = {
-                    fut
-                    for fut in pending
-                    if deadlines[fut] is not None and now > deadlines[fut]
-                }
-                if overdue:
-                    _terminate_pool(pool)
-                    for fut in pending:
-                        label = "timeout" if fut in overdue else "worker-lost"
-                        lost.extend((i, label) for i in futures[fut])
-                    pending = set()
-                    broken = True
-        if broken:
-            _terminate_pool(pool)
-            pool = ProcessPoolExecutor(max_workers=self.workers)
-            obs_metrics.inc(
-                "repro_pool_rebuilds_total",
-                help="process pools rebuilt after a lost or hung worker",
-            )
-        return outcomes, lost, stats_deltas, pool
-
-
-def run_resilient(
-    spec,
-    n_runs: int,
-    *,
-    workers: int,
-    chunk_size: Optional[int],
-    failure_policy: str,
-    run_timeout: Optional[float],
-    max_retries: int,
-    backoff_base: float,
-    backoff_cap: float,
-) -> Tuple[List[Any], List[FailureRecord], Optional[Dict[str, int]]]:
-    """Execute a batch through the resilience layer.
-
-    Returns ``(records, failures, cache_stats)`` with records sorted by
-    run index; raises under ``strict`` (first failure) and ``retry``
-    (budget exhausted) policies.
-    """
-    execution = _ResilientExecution(
-        spec,
-        n_runs,
-        workers=workers,
-        chunk_size=chunk_size,
-        failure_policy=failure_policy,
-        run_timeout=run_timeout,
-        max_retries=max_retries,
-        backoff_base=backoff_base,
-        backoff_cap=backoff_cap,
-    )
-    if workers == 0:
-        return execution.run_serial()
-    return execution.run_pooled()

@@ -12,6 +12,7 @@ mid-shard, a connection dropped mid-RESULT-blob) to show resubmission
 converges back to the fault-free serial bytes.
 """
 
+import multiprocessing
 import os
 import socket
 import subprocess
@@ -155,6 +156,52 @@ class TestReplanInvariance:
                                  backend=remote_backend, chunk_size=chunk)
             assert runner.run(8, 24, seed=11).canonical_json() == reference, (
                 "remote", chunk)
+
+
+def _crashing_factory(n, rng):
+    raise ValueError("intentional factory crash")
+
+
+class TestStrictPolicyConformance:
+    """strict is the engine's zero-retry policy on every backend: one
+    planted factory crash surfaces as the same exception, type and
+    message, wherever the run executed."""
+
+    @pytest.mark.parametrize("where", ["serial", "pool", "remote"])
+    def test_factory_crash_raises_identically(self, where, remote_backend):
+        backend, workers = {
+            "serial": (SerialBackend(), 0),
+            "pool": (ProcessPoolBackend(2), 2),
+            "remote": (remote_backend, 0),
+        }[where]
+        spec = get_task("lr_sorting")
+        runner = BatchRunner(
+            spec.protocol(), _crashing_factory, workers=workers, backend=backend
+        )
+        with pytest.raises(Exception) as raised:
+            runner.run(4, 24, seed=11)
+        assert type(raised.value) is ValueError, where
+        assert str(raised.value) == "intentional factory crash", where
+
+
+class TestPoolProcessLifecycle:
+    """A pooled batch leaves no worker process behind, however it ends."""
+
+    def test_fault_free_batch_reaps_its_workers(self):
+        report = _run("lr_sorting", runs=6, workers=2,
+                      backend=ProcessPoolBackend(2))
+        assert report.meta["backend"]["workers_spawned"] >= 1
+        assert multiprocessing.active_children() == []
+
+    def test_strict_abort_reaps_its_workers(self):
+        spec = get_task("lr_sorting")
+        runner = BatchRunner(
+            spec.protocol(), _crashing_factory, workers=2,
+            backend=ProcessPoolBackend(2, chunk_size=1),
+        )
+        with pytest.raises(ValueError, match="intentional factory crash"):
+            runner.run(8, 24, seed=11)
+        assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +508,7 @@ class TestRemoteLifecycle:
         backend.close()
         backend.close()  # idempotent
         with pytest.raises(RuntimeError, match="closed"):
-            backend.run_strict(object(), 1)
+            backend.execute(object(), 1)
 
     def test_worker_exits_cleanly_on_bye(self):
         backend = RemoteWorkerBackend(min_workers=1, accept_timeout=10.0)
