@@ -102,6 +102,7 @@ def test_observability_overhead_and_identity():
         "observability_disabled_s": round(disabled_s, 3),
         "disabled_overhead": round(disabled_overhead, 3),
         "disabled_overhead_target": "< 1.05",
+        "disabled_overhead_target_met": disabled_overhead < 1.05,
         "traced_journaled_s": round(traced_s, 3),
         "tracing_overhead": round(traced_s / plain_s, 3),
         "traced_plus_metrics_s": round(metered_s, 3),

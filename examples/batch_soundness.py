@@ -30,16 +30,16 @@ def main():
     args = parser.parse_args()
 
     spec = get_task("planarity")
-    runner = BatchRunner(
-        spec.protocol(c=2),
-        spec.no_factory,  # random non-planar graphs
-        workers=args.workers,
-    )
     print(
         f"estimating planarity soundness: {args.runs} runs at n={args.n}, "
         f"seed {args.seed}, workers={args.workers} ..."
     )
-    report = runner.run(args.runs, args.n, seed=args.seed)
+    with BatchRunner(
+        spec.protocol(c=2),
+        spec.no_factory,  # random non-planar graphs
+        workers=args.workers,
+    ) as runner:
+        report = runner.run(args.runs, args.n, seed=args.seed)
 
     lo, hi = report.rejection_wilson_95()
     print(f"\n{report.summary()}")

@@ -28,6 +28,9 @@ from ..runtime.runner import BatchReport, BatchRunner
 from ..runtime.seeds import SeedSequence
 from .metrics import acceptance_stats, loglog_growth_verdict
 
+#: analysis batches too small for their pool run serially (see run_batch)
+MIN_RUNS_PER_SHARD = 8
+
 
 def run_batch(
     protocol,
@@ -43,7 +46,7 @@ def run_batch(
     fault_plan=None,
     trace: bool = False,
     journal=None,
-    min_runs_per_shard: Optional[int] = 8,
+    min_runs_per_shard: Optional[int] = MIN_RUNS_PER_SHARD,
     backend=None,
 ) -> BatchReport:
     """One aggregated batch of runs; the substrate of every driver here.
@@ -60,14 +63,15 @@ def run_batch(
     BatchRunner, analysis batches default ``min_runs_per_shard=8``:
     small ``workers>0`` batches fall back to serial execution (noted in
     ``report.meta["auto_serial"]``) rather than paying more in process
-    spawns than the parallelism returns.
+    spawns than the parallelism returns.  The runner is closed before
+    this returns, so a one-shot pooled batch reaps its workers.
 
     ``backend`` picks where the runs execute (a name like ``"serial"`` /
     ``"process"`` / ``"remote:host:port"``, or an
     :class:`~repro.runtime.backends.ExecutionBackend` instance); results
     are byte-identical on every backend.
     """
-    runner = BatchRunner(
+    with BatchRunner(
         protocol,
         instance_factory,
         prover_factory=prover_factory,
@@ -80,8 +84,8 @@ def run_batch(
         journal=journal,
         min_runs_per_shard=min_runs_per_shard,
         backend=backend,
-    )
-    return runner.run(n_runs, n, seed=seed)
+    ) as runner:
+        return runner.run(n_runs, n, seed=seed)
 
 
 def size_sweep(
@@ -105,36 +109,37 @@ def size_sweep(
     so adding or reordering sweep points never perturbs other points.
     Under ``failure_policy="degrade"`` a point's maxima are taken over the
     runs that survived (the per-point reports say how many).  A
-    ``journal`` accumulates one batch section per sweep point.
+    ``journal`` accumulates one batch section per sweep point.  One
+    runner serves every point, so a pooled sweep forks its workers once.
     """
     sizes: List[int] = []
     rounds: List[int] = []
     failed: List[int] = []
-    for n in ns:
-        report = run_batch(
-            protocol,
-            instance_factory,
-            n_runs=repeats,
-            n=n,
-            seed=SeedSequence(seed).child(n).seed_int(),
-            workers=workers,
-            failure_policy=failure_policy,
-            run_timeout=run_timeout,
-            max_retries=max_retries,
-            fault_plan=fault_plan,
-            trace=trace,
-            journal=journal,
-            backend=backend,
-        )
-        rejected = [r for r in report.records if not r.accepted]
-        if rejected:
-            raise AssertionError(
-                f"{protocol.name}: honest run rejected at n={n} "
-                f"(runs {[r.index for r in rejected]})"
-            )
-        sizes.append(report.proof_size_max)
-        rounds.append(report.rounds_max)
-        failed.append(report.n_failed)
+    with BatchRunner(
+        protocol,
+        instance_factory,
+        workers=workers,
+        failure_policy=failure_policy,
+        run_timeout=run_timeout,
+        max_retries=max_retries,
+        fault_plan=fault_plan,
+        trace=trace,
+        journal=journal,
+        min_runs_per_shard=MIN_RUNS_PER_SHARD,
+        backend=backend,
+    ) as runner:
+        for n in ns:
+            point_seed = SeedSequence(seed).child(n).seed_int()
+            report = runner.run(repeats, n, seed=point_seed)
+            rejected = [r for r in report.records if not r.accepted]
+            if rejected:
+                raise AssertionError(
+                    f"{runner.protocol.name}: honest run rejected at n={n} "
+                    f"(runs {[r.index for r in rejected]})"
+                )
+            sizes.append(report.proof_size_max)
+            rounds.append(report.rounds_max)
+            failed.append(report.n_failed)
     out = {"ns": list(ns), "sizes": sizes, "rounds": rounds}
     if any(failed):
         out["failed_runs"] = failed

@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..runtime.backends import resolve_backend
 from ..runtime.registry import FUZZ_ROUNDS, get_task
 from ..runtime.runner import BatchRunner
 from .metrics import wilson_interval
@@ -216,38 +217,41 @@ def fuzz_coverage(
     by_field: Dict[Tuple[int, str], FieldCoverage] = {}
     mutated = 0
     total = 0
-    for r in rounds:
-        name = f"fuzz_r{r}"
-        if name not in spec.adversaries:
-            raise KeyError(f"task {task!r} has no adversary {name!r}")
-        factory = spec.adversaries[name]
-        if op != "random":
-            factory = factory.with_op(op)
-        report = BatchRunner(
-            spec.protocol(),
-            spec.yes_factory,
-            prover_factory=factory,
-            workers=workers,
+    # one pool serves every round's batch and the honest control
+    with resolve_backend(None, workers=workers) as backend:
+        for r in rounds:
+            name = f"fuzz_r{r}"
+            if name not in spec.adversaries:
+                raise KeyError(f"task {task!r} has no adversary {name!r}")
+            factory = spec.adversaries[name]
+            if op != "random":
+                factory = factory.with_op(op)
+            report = BatchRunner(
+                spec.protocol(),
+                spec.yes_factory,
+                prover_factory=factory,
+                workers=workers,
+                backend=backend,
+            ).run(trials, n, seed=seed)
+            for record in report.records:
+                total += 1
+                extra = record.extra
+                if extra is None or not extra.get("mutated"):
+                    continue  # round had nothing to corrupt (e.g. empty round 5)
+                mutated += 1
+                key = (r, extra["path"])
+                cov = by_field.get(key)
+                if cov is None:
+                    cov = by_field[key] = FieldCoverage(
+                        round=r,
+                        path=extra["path"],
+                        stage=extra["stage"],
+                        site=extra["site"],
+                    )
+                cov.add(extra)
+        honest = BatchRunner(
+            spec.protocol(), spec.yes_factory, workers=workers, backend=backend
         ).run(trials, n, seed=seed)
-        for record in report.records:
-            total += 1
-            extra = record.extra
-            if extra is None or not extra.get("mutated"):
-                continue  # round had nothing to corrupt (e.g. empty round 5)
-            mutated += 1
-            key = (r, extra["path"])
-            cov = by_field.get(key)
-            if cov is None:
-                cov = by_field[key] = FieldCoverage(
-                    round=r,
-                    path=extra["path"],
-                    stage=extra["stage"],
-                    site=extra["site"],
-                )
-            cov.add(extra)
-    honest = BatchRunner(
-        spec.protocol(), spec.yes_factory, workers=workers
-    ).run(trials, n, seed=seed)
     return FuzzCoverageReport(
         task=spec.name,
         n=n,

@@ -219,13 +219,14 @@ def trace_task(
     from ..runtime.runner import BatchRunner
 
     spec = get_task(task)
-    report = BatchRunner(
+    with BatchRunner(
         spec.protocol(c=c),
         spec.yes_factory,
         workers=workers,
         trace=True,
         journal=journal,
-    ).run(runs, n, seed=seed)
+    ) as runner:
+        report = runner.run(runs, n, seed=seed)
     by_task = aggregate_summaries(summaries_from_report(report))
     (cost_report,) = by_task.values()
     return report, cost_report

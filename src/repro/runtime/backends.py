@@ -7,7 +7,8 @@ shards of each wave execute, behind one method,
 :meth:`ExecutionBackend.execute`:
 
 * :class:`SerialBackend` — the ``workers=0`` reference path, in process.
-* :class:`ProcessPoolBackend` — a local ``ProcessPoolExecutor``; a pool
+* :class:`ProcessPoolBackend` — a local ``ProcessPoolExecutor``, kept
+  warm across batches until :meth:`~ExecutionBackend.close`; a pool
   broken by a lost worker, or holding a hung one, is terminated and
   rebuilt for the next wave.
 * :class:`~repro.runtime.remote.RemoteWorkerBackend` — socket-dispatched
@@ -34,15 +35,11 @@ import math
 import time
 from abc import ABC, abstractmethod
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..obs import metrics as obs_metrics
 from .resilience import _execute_resilient_shard, _ResilientExecution
-
-try:
-    from concurrent.futures.process import BrokenProcessPool
-except ImportError:  # pragma: no cover
-    BrokenProcessPool = None
 
 #: records + failures + cache-stats triple every execution returns
 ExecutionResult = Tuple[List[Any], List[Any], Optional[Dict[str, int]]]
@@ -112,7 +109,7 @@ class ExecutionBackend(ABC):
         """
 
     def close(self) -> None:
-        """Release backend resources (idempotent; serial/pool hold none)."""
+        """Release backend resources: pool workers, sockets (idempotent)."""
 
     def __enter__(self) -> "ExecutionBackend":
         return self
@@ -161,21 +158,36 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
 
 
 class ProcessPoolBackend(ExecutionBackend):
-    """Local ``ProcessPoolExecutor`` sharding.
+    """Local ``ProcessPoolExecutor`` sharding, on one pool kept until :meth:`close`.
+
+    The pool is forked on first use and serves every later batch, so
+    its workers stay warm: imports done and per-process caches (label
+    schemas, wire plans, instances) filled by earlier batches.  Like
+    remote agents, the workers see the parent process, its environment
+    and its ``REPRO_*`` settings as they were at first use.  Determinism
+    does not depend on that warmth: a kept worker runs batch after batch
+    in one process, as the serial path always has, and every run
+    rebuilds its state from its own seed streams.
 
     Every shard submission carries the batch spec (a few hundred bytes
     pickled) and the attempt counts of its runs.  Shards are absorbed as
     they complete, so a strict batch aborts at its first failure: queued
     shards are cancelled and the pool's processes terminated.  A pool
     broken by a lost worker, or holding one hung past the backstop
-    deadline, is terminated and rebuilt for the next wave; a fault-free
-    batch shuts its pool down gracefully.
+    deadline, is terminated and rebuilt for the next wave.  The next
+    batch forks a fresh pool after any of those, or when
+    :meth:`spawn_width` changed since the pool was made.
 
     ``workers`` is the *configured* width; the width actually spawned is
     re-clamped against :func:`~repro.runtime.runner._usable_cores` at
     every execution (see :meth:`spawn_width`), so a backend constructed
     under one CPU affinity — or swapped onto a runner later — never
     spawns more processes than the box can schedule.
+
+    :meth:`close` shuts the pool down and reaps its workers; the backend
+    stays usable and forks a new pool if it runs again.  A backend
+    dropped without ``close()`` shuts its pool down when it is
+    garbage-collected.
     """
 
     name = "process"
@@ -186,6 +198,8 @@ class ProcessPoolBackend(ExecutionBackend):
             raise ValueError("process backend needs workers >= 1")
         self.workers = workers
         self.chunk_size = chunk_size
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool_width = 0
 
     def describe(self) -> Dict[str, Any]:
         return {"backend": self.name, "workers": self.workers}
@@ -201,6 +215,24 @@ class ProcessPoolBackend(ExecutionBackend):
 
         return max(1, min(self.workers, runner._usable_cores()))
 
+    def _ensure_pool(self, width: int) -> None:
+        """Keep the pool, or replace it if it broke or ``width`` changed."""
+        pool = self._pool
+        # a worker lost between batches breaks the pool only once the
+        # executor notices; is_alive() sees it at once
+        processes = list((pool._processes or {}).values()) if pool is not None else []
+        if pool is not None and (
+            width != self._pool_width
+            or pool._broken
+            or not all(p.is_alive() for p in processes)
+        ):
+            _terminate_pool(pool)
+            pool = None
+        if pool is None:
+            pool = ProcessPoolExecutor(max_workers=width)
+            self._pool_width = width
+        self._pool = pool
+
     def execute(self, spec, n_runs, *, chunk_size=None, **policy) -> ExecutionResult:
         width = self.spawn_width()
         info = self.describe()
@@ -215,19 +247,31 @@ class ProcessPoolBackend(ExecutionBackend):
             chunk_size=chunk_size or self.chunk_size,
             **policy,
         )
-        pool = ProcessPoolExecutor(max_workers=width)
+        self._ensure_pool(width)
 
         def run_wave(shards: List[List[int]]) -> None:
-            nonlocal pool
-            pool = _run_pool_wave(pool, width, state, shards)
+            self._pool = _run_pool_wave(self._pool, width, state, shards)
 
         try:
-            result = state.run(run_wave)
+            return state.run(run_wave)
         except BaseException:
+            # an abort leaves shards queued or running: kill the pool
+            pool, self._pool = self._pool, None
             _terminate_pool(pool)
             raise
-        pool.shutdown(wait=True)
-        return result
+
+    def close(self) -> None:
+        """Shut the kept pool down and reap its workers (idempotent)."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+
+    def __del__(self) -> None:
+        pool = getattr(self, "_pool", None)
+        if pool is not None:
+            # no waiting inside the garbage collector: the executor's own
+            # management thread joins the workers
+            pool.shutdown(wait=False)
 
 
 def _run_pool_wave(
@@ -246,14 +290,22 @@ def _run_pool_wave(
     run_timeout = state.run_timeout
     futures: Dict[Any, List[int]] = {}
     deadlines: Dict[Any, Optional[float]] = {}
+    lost: List[Tuple[int, str]] = []
+    broken = False
     for shard in shards:
-        fut = pool.submit(
-            _execute_resilient_shard,
-            state.spec,
-            shard,
-            {i: state.attempts[i] for i in shard},
-            run_timeout,
-        )
+        try:
+            fut = pool.submit(
+                _execute_resilient_shard,
+                state.spec,
+                shard,
+                {i: state.attempts[i] for i in shard},
+                run_timeout,
+            )
+        except BrokenProcessPool:
+            # a worker died while this wave was still being submitted
+            broken = True
+            lost.extend((i, "worker-lost") for i in shard)
+            continue
         futures[fut] = shard
         deadlines[fut] = (
             None
@@ -262,9 +314,7 @@ def _run_pool_wave(
             # earlier; this only triggers for alarm-immune hangs
             else time.monotonic() + run_timeout * (3 * len(shard) + 2) + 1.0
         )
-    lost: List[Tuple[int, str]] = []
     pending = set(futures)
-    broken = False
     while pending:
         poll = None if run_timeout is None else 0.05
         done, _ = wait(pending, timeout=poll, return_when=FIRST_COMPLETED)
@@ -272,16 +322,12 @@ def _run_pool_wave(
             pending.discard(fut)
             try:
                 outcomes, stats_delta = fut.result()
-            except Exception as exc:
-                if BrokenProcessPool is not None and isinstance(
-                    exc, BrokenProcessPool
-                ):
-                    # every sibling future is (or is about to be) failed
-                    # by the executor; drain them via the loop
-                    broken = True
-                    lost.extend((i, "worker-lost") for i in futures[fut])
-                    continue
-                raise
+            except BrokenProcessPool:
+                # every sibling future is (or is about to be) failed by
+                # the executor; drain them via the loop
+                broken = True
+                lost.extend((i, "worker-lost") for i in futures[fut])
+                continue
             state.absorb(outcomes, stats_delta)  # strict raises right here
         if pending and run_timeout is not None:
             now = time.monotonic()

@@ -38,6 +38,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..core.protocol import (
+    active_label_tap,
+    clear_label_tap,
+    clear_tracer,
+    install_tracer,
+)
 from ..obs import metrics as obs_metrics
 from .backends import (
     ExecutionBackend,
@@ -267,7 +273,22 @@ def execute_one_run(spec: _BatchSpec, i: int) -> RunRecord:
     prover, and protocol RNG from
     ``SeedSequence(master_seed).child(i)``, so re-executing a run — e.g.
     a retry after a transient fault — reproduces it exactly.
+
+    An adversary installs its process-wide label tap when it is built
+    and removes it in ``finalize_report``; a run that dies in between
+    (a timeout, a crash) would leave it armed for every later run in
+    this process, so any tap the run installed is removed here.
     """
+    tap_before = active_label_tap()
+    try:
+        return _execute_run(spec, i)
+    finally:
+        tap = active_label_tap()
+        if tap is not tap_before:
+            clear_label_tap(tap)
+
+
+def _execute_run(spec: _BatchSpec, i: int) -> RunRecord:
     run_ss = SeedSequence(spec.master_seed).child(i)
     t0 = time.perf_counter()
     instance = _build_instance(spec, run_ss.child("instance").seed_int())
@@ -282,7 +303,6 @@ def execute_one_run(spec: _BatchSpec, i: int) -> RunRecord:
     trace = None
     if spec.trace:
         # imported lazily so the untraced path never touches repro.obs
-        from ..core.protocol import clear_tracer, install_tracer
         from ..obs.tracer import Tracer
 
         tracer = install_tracer(Tracer())
@@ -345,6 +365,13 @@ class BatchRunner:
     in ``report.meta["backend"]`` and wall-clock.  Swap mid-life with
     :meth:`set_backend`; per-execution facts like the usable-core clamp
     are re-checked on every ``run()``, not frozen at construction.
+
+    A process pool lives as long as its backend: every ``run()`` on one
+    runner reuses the same warm workers until :meth:`close` (or leaving
+    a ``with BatchRunner(...)`` block) reaps them.  ``close()`` releases
+    only a backend the runner resolved itself, from ``workers`` or a
+    name; a backend *instance* passed in belongs to its caller, who
+    closes it.
 
     Failure-policy knobs of the batch engine every backend drives (see
     :mod:`repro.runtime.resilience`):
@@ -444,6 +471,7 @@ class BatchRunner:
         self.min_runs_per_shard = min_runs_per_shard
         self._backend_spec = backend
         self._backend: Optional[ExecutionBackend] = None
+        self._owns_backend = False
 
     # -- backend plumbing --------------------------------------------------
 
@@ -451,11 +479,7 @@ class BatchRunner:
     def backend(self) -> ExecutionBackend:
         """The execution backend, resolved lazily on first use."""
         if self._backend is None:
-            self._backend = resolve_backend(
-                self._backend_spec,
-                workers=self.workers,
-                chunk_size=self.chunk_size,
-            )
+            self._adopt(self._backend_spec)
         return self._backend
 
     def set_backend(self, backend: Any) -> ExecutionBackend:
@@ -464,12 +488,35 @@ class BatchRunner:
         Nothing execution-shaped is cached across the swap: core clamps,
         worker registration, and spec shipping all happen per ``run()``
         inside the backend, so a runner built under one CPU affinity (or
-        backend) is safe to point somewhere else mid-life.
+        backend) is safe to point somewhere else mid-life.  A backend
+        the runner resolved itself is closed on the way out.
         """
+        self.close()
+        self._adopt(backend)
+        return self._backend
+
+    def _adopt(self, backend: Any) -> None:
+        self._backend_spec = backend
         self._backend = resolve_backend(
             backend, workers=self.workers, chunk_size=self.chunk_size
         )
-        return self._backend
+        self._owns_backend = self._backend is not backend
+
+    def close(self) -> None:
+        """Close the backend if this runner resolved it (idempotent).
+
+        The runner stays usable: the next ``run()`` resolves a fresh
+        backend the same way.
+        """
+        backend, self._backend = self._backend, None
+        if backend is not None and self._owns_backend:
+            backend.close()
+
+    def __enter__(self) -> "BatchRunner":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- execution --------------------------------------------------------
 

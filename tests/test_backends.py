@@ -63,11 +63,11 @@ def _run(task, adversary=None, *, backend=None, workers=0, runs=3, n=24,
          seed=11, **knobs):
     spec = get_task(task)
     factory = spec.adversaries[adversary] if adversary else None
-    runner = BatchRunner(
+    with BatchRunner(
         spec.protocol(), spec.yes_factory, prover_factory=factory,
         workers=workers, backend=backend, **knobs,
-    )
-    return runner.run(runs, n, seed=seed)
+    ) as runner:
+        return runner.run(runs, n, seed=seed)
 
 
 def _set_wire(monkeypatch, packed):
@@ -111,7 +111,8 @@ class TestBackendConformance:
     ):
         _set_wire(monkeypatch, packed)
         serial = _run(task, adversary, backend=SerialBackend())
-        pool = _run(task, adversary, backend=ProcessPoolBackend(2), workers=2)
+        with ProcessPoolBackend(2) as backend:
+            pool = _run(task, adversary, backend=backend, workers=2)
         remote = _run(task, adversary, backend=remote_backend)
 
         reference = serial.canonical_json()
@@ -147,8 +148,8 @@ class TestReplanInvariance:
     def test_chunk_sizes_collapse_to_serial(self, remote_backend):
         reference = _run("lr_sorting", runs=8).canonical_json()
         for chunk in (1, 3, 8):
-            pool = _run("lr_sorting", runs=8, workers=2,
-                        backend=ProcessPoolBackend(2, chunk_size=chunk))
+            with ProcessPoolBackend(2, chunk_size=chunk) as backend:
+                pool = _run("lr_sorting", runs=8, workers=2, backend=backend)
             assert pool.canonical_json() == reference, ("pool", chunk)
         for chunk in (1, 5):
             spec = get_task("lr_sorting")
@@ -184,13 +185,30 @@ class TestStrictPolicyConformance:
         assert str(raised.value) == "intentional factory crash", where
 
 
+def _pool_pids(backend):
+    """PIDs of the worker processes of a backend's kept pool."""
+    return sorted(backend._pool._processes)
+
+
 class TestPoolProcessLifecycle:
-    """A pooled batch leaves no worker process behind, however it ends."""
+    """A pool lives as long as its backend: warm across batches, replaced
+    when it breaks or its width changes, and never left behind."""
 
     def test_fault_free_batch_reaps_its_workers(self):
-        report = _run("lr_sorting", runs=6, workers=2,
-                      backend=ProcessPoolBackend(2))
-        assert report.meta["backend"]["workers_spawned"] >= 1
+        spec = get_task("lr_sorting")
+        runner = BatchRunner(spec.protocol(), spec.yes_factory, workers=2)
+        first = runner.run(6, 24, seed=11)
+        assert first.meta["backend"]["workers_spawned"] >= 1
+        pids = _pool_pids(runner.backend)
+        second = runner.run(6, 24, seed=12)
+        assert _pool_pids(runner.backend) == pids  # the same warm workers
+        assert len(second.records) == 6
+        runner.close()
+        assert multiprocessing.active_children() == []
+
+        with BatchRunner(spec.protocol(), spec.yes_factory, workers=2) as runner:
+            runner.run(6, 24, seed=11)
+            assert multiprocessing.active_children() != []
         assert multiprocessing.active_children() == []
 
     def test_strict_abort_reaps_its_workers(self):
@@ -201,6 +219,87 @@ class TestPoolProcessLifecycle:
         )
         with pytest.raises(ValueError, match="intentional factory crash"):
             runner.run(8, 24, seed=11)
+        assert multiprocessing.active_children() == []
+
+    def test_caller_owned_backend_outlives_the_runner(self):
+        spec = get_task("lr_sorting")
+        with ProcessPoolBackend(2) as backend:
+            with BatchRunner(spec.protocol(), spec.yes_factory,
+                             backend=backend) as runner:
+                runner.run(4, 24, seed=11)
+            pids = _pool_pids(backend)  # leaving the runner left it alone
+            BatchRunner(spec.protocol(), spec.yes_factory,
+                        backend=backend).run(4, 24, seed=12)
+            assert _pool_pids(backend) == pids
+        assert multiprocessing.active_children() == []
+
+    def test_next_batch_after_a_kill_runs_on_the_rebuilt_pool(self):
+        spec = get_task("lr_sorting")
+        reference = _run("lr_sorting", runs=6, seed=11).canonical_json()
+        plan = FaultPlan(0, overrides={1: ("kill", 1)})
+        with ProcessPoolBackend(2) as backend:
+            with obs_metrics.enabled_metrics() as registry:
+                killed = BatchRunner(
+                    spec.protocol(), spec.yes_factory, backend=backend,
+                    chunk_size=2, failure_policy="retry", fault_plan=plan,
+                    max_retries=3, backoff_base=0.01, backoff_cap=0.05,
+                ).run(6, 24, seed=11)
+                rebuilds = registry.counter("repro_pool_rebuilds_total").value()
+            assert rebuilds >= 1
+            assert killed.canonical_json() == reference
+            rebuilt = backend._pool
+            pids = _pool_pids(backend)
+            report = BatchRunner(
+                spec.protocol(), spec.yes_factory, backend=backend
+            ).run(6, 24, seed=11)
+            assert backend._pool is rebuilt and _pool_pids(backend) == pids
+        assert report.canonical_json() == reference
+        assert multiprocessing.active_children() == []
+
+    def test_worker_lost_between_batches_is_replaced(self):
+        spec = get_task("lr_sorting")
+        with BatchRunner(spec.protocol(), spec.yes_factory, workers=2) as runner:
+            first = runner.run(4, 24, seed=11)
+            victim = runner.backend._pool._processes[_pool_pids(runner.backend)[0]]
+            victim.kill()
+            victim.join(timeout=5)
+            # a strict batch: a run sent to the dead pool would abort it
+            second = runner.run(4, 24, seed=11)
+            assert victim.pid not in _pool_pids(runner.backend)
+        assert second.canonical_json() == first.canonical_json()
+        assert multiprocessing.active_children() == []
+
+    def test_pool_breaking_during_submission_loses_only_its_shards(self):
+        from concurrent.futures.process import BrokenProcessPool
+
+        def broken_submit(*args, **kwargs):
+            raise BrokenProcessPool("a worker died mid-submission")
+
+        spec = get_task("lr_sorting")
+        reference = _run("lr_sorting", runs=4, seed=11).canonical_json()
+        with ProcessPoolBackend(2) as backend:
+            runner = BatchRunner(
+                spec.protocol(), spec.yes_factory, backend=backend,
+                failure_policy="retry", backoff_base=0.01, backoff_cap=0.05,
+            )
+            runner.run(4, 24, seed=12)
+            backend._pool.submit = broken_submit
+            report = runner.run(4, 24, seed=11)
+        assert report.canonical_json() == reference
+        assert multiprocessing.active_children() == []
+
+    def test_spawn_width_change_rebuilds_the_pool(self, monkeypatch):
+        spec = get_task("lr_sorting")
+        monkeypatch.setattr("repro.runtime.runner._usable_cores", lambda: 1)
+        with BatchRunner(spec.protocol(), spec.yes_factory, workers=2) as runner:
+            narrow = runner.run(4, 24, seed=11)
+            (old_pid,) = _pool_pids(runner.backend)
+            monkeypatch.setattr("repro.runtime.runner._usable_cores", lambda: 2)
+            wide = runner.run(4, 24, seed=11)
+            assert wide.meta["backend"]["workers_spawned"] == 2
+            assert len(_pool_pids(runner.backend)) == 2
+            assert old_pid not in {p.pid for p in multiprocessing.active_children()}
+        assert wide.canonical_json() == narrow.canonical_json()
         assert multiprocessing.active_children() == []
 
 
@@ -316,9 +415,10 @@ class TestUsableCoresClamp:
         assert first.meta["backend"]["workers_spawned"] == 1
         # swap to a fresh pool backend under a different affinity: the
         # width must come from the swap-time (run-time) core count
-        runner.set_backend(ProcessPoolBackend(2))
-        monkeypatch.setattr("repro.runtime.runner._usable_cores", lambda: 2)
-        second = runner.run(4, 24, seed=11)
+        with ProcessPoolBackend(2) as backend:
+            runner.set_backend(backend)
+            monkeypatch.setattr("repro.runtime.runner._usable_cores", lambda: 2)
+            second = runner.run(4, 24, seed=11)
         assert second.meta["backend"]["workers_spawned"] == 2
         assert second.canonical_json() == first.canonical_json()
 

@@ -32,6 +32,7 @@ from repro.runtime.faults import (
     clear_fault_plan,
     install_fault_plan,
 )
+from repro.runtime.backends import resolve_backend
 from repro.runtime.registry import exiting_worker_factory, path_outerplanarity_yes
 from repro.runtime.resilience import FailureRecord, run_deadline
 
@@ -328,6 +329,32 @@ class TestPoolRecovery:
         with pytest.raises(ValueError, match="intentional crash"):
             runner.run(12, N, seed=2)
         assert time.perf_counter() - t0 < 2.0
+
+
+class TestLabelTapHygiene:
+    @pytest.mark.parametrize("workers", [0, 1], ids=["serial", "pool"])
+    def test_timed_out_fuzz_run_leaves_no_tap_armed(self, workers):
+        # a fuzz adversary arms its process-wide label tap when it is
+        # built and disarms it only after a finished run; a run killed by
+        # its deadline in between must not corrupt the next batch in the
+        # same process (on the pool: the same kept worker)
+        from repro.core.protocol import active_label_tap
+
+        spec = get_task("path_outerplanarity")
+        reference = BatchRunner(spec.protocol(), spec.yes_factory).run(8, 64, seed=5)
+        with resolve_backend(None, workers=workers) as backend:
+            fuzzed = BatchRunner(
+                spec.protocol(), spec.yes_factory,
+                prover_factory=spec.adversaries["fuzz_r3"], backend=backend,
+                failure_policy="degrade", run_timeout=0.004,
+            ).run(8, 64, seed=3)
+            assert fuzzed.failures  # the deadline did cut runs short
+            assert active_label_tap() is None
+            honest = BatchRunner(
+                spec.protocol(), spec.yes_factory, backend=backend
+            ).run(8, 64, seed=5)
+        assert honest.n_accepted == 8
+        assert honest.canonical_json() == reference.canonical_json()
 
 
 class TestValidation:
