@@ -22,22 +22,20 @@ case without ever changing a verdict).  ``Interaction.decide`` merges
 the two; canonical reports are byte-identical with kernels on or off.
 
 Numpy is an **optional** dependency (the ``[vector]`` extra): when it is
-missing, :func:`run_kernel` returns None and the per-view path runs
-unchanged.  ``REPRO_DISABLE_VECTOR_DECIDE=1`` is the escape hatch,
-mirroring the decode-cache and packed-label hatches, and
-``REPRO_VECTOR_MIN_NODES`` tunes the size gate (vectorization has fixed
-setup cost; tiny sub-runs of the composite protocols stay per-view).
+missing, :func:`run_kernel` returns None and the same per-view path runs
+for every node.  Graphs below :data:`MIN_NODES` stay per-view too
+(vectorization has fixed setup cost; tiny sub-runs of the composite
+protocols never reach a kernel).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .labels import BitString, Label
 
 # ---------------------------------------------------------------------------
-# optional numpy + escape hatches
+# optional numpy + the size gate
 # ---------------------------------------------------------------------------
 
 _NP = None
@@ -62,24 +60,9 @@ def numpy_available() -> bool:
     return _numpy() is not None
 
 
-def vector_decide_disabled() -> bool:
-    """True when the ``REPRO_DISABLE_VECTOR_DECIDE`` escape hatch is set."""
-    return os.environ.get("REPRO_DISABLE_VECTOR_DECIDE", "") not in ("", "0")
-
-
 #: below this node count the fixed cost of building columns outweighs the
 #: win (the composite protocols spawn many tiny block sub-runs)
-DEFAULT_MIN_NODES = 32
-
-
-def vector_min_nodes() -> int:
-    raw = os.environ.get("REPRO_VECTOR_MIN_NODES", "")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_MIN_NODES
+MIN_NODES = 32
 
 
 # ---------------------------------------------------------------------------
@@ -747,16 +730,14 @@ def run_kernel(kernel, graph, transcript):
     """Run a columnar kernel over a finished transcript.
 
     Returns ``(ok, fallback)`` numpy bool arrays, or None when the
-    vectorized path does not apply (hatch set, numpy absent, graph below
-    the size gate or degenerate, or an uncoverable coin/label shape) --
-    the caller then uses the per-view path for every node.
+    vectorized path does not apply (numpy absent, graph below
+    :data:`MIN_NODES` or degenerate, or an uncoverable coin/label shape)
+    -- the caller then uses the per-view path for every node.
     """
-    if vector_decide_disabled():
-        return None
     np = _numpy()
     if np is None:
         return None
-    if graph.n < vector_min_nodes() or graph.n < 2 or graph.m == 0:
+    if graph.n < MIN_NODES or graph.n < 2 or graph.m == 0:
         return None
     try:
         ctx = ColumnarContext(np, graph, transcript)

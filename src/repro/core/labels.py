@@ -28,7 +28,6 @@ Absent labels cost zero bits.
 from __future__ import annotations
 
 import math
-import os
 from typing import Dict, Iterator, Optional, Tuple, Union
 
 FieldValue = Union[int, bool, "Label", "BitString", None]
@@ -302,9 +301,6 @@ class Label:
         return self.pack()
 
     def __reduce__(self):
-        if packed_labels_disabled():
-            # object-tree escape hatch: ship the field dict as-is
-            return (_label_from_tree, (self._fields, self._size))
         schema, payload = self.pack()
         return (
             _label_from_wire,
@@ -379,14 +375,8 @@ def _replaced_field(name: str, old: tuple, value: FieldValue) -> tuple:
 # schema alone, which is what makes the zero-copy :class:`PackedLabel`
 # views below cheap.
 #
-# ``REPRO_DISABLE_PACKED_LABELS=1`` keeps labels crossing process
-# boundaries as plain object trees (the pre-wire-format behavior); the
-# differential suite pins canonical reports byte-identical either way.
-
-
-def packed_labels_disabled() -> bool:
-    """True when the ``REPRO_DISABLE_PACKED_LABELS`` escape hatch is set."""
-    return os.environ.get("REPRO_DISABLE_PACKED_LABELS", "") not in ("", "0")
+# Labels stay object trees in-process; a label crossing a process
+# boundary always travels in this packed form.
 
 
 class LabelSchema:
@@ -466,11 +456,6 @@ def _pack_fields(fields: Dict[str, tuple]) -> Tuple[LabelSchema, int]:
     return schema_from_desc(tuple(desc)), acc
 
 
-def _label_from_tree(fields: Dict[str, tuple], size: int) -> Label:
-    """Unpickle hook for the object-tree escape hatch."""
-    return Label._trusted(fields, size)
-
-
 def _label_from_wire(desc: tuple, data: bytes) -> "PackedLabel":
     """Unpickle hook for the packed wire form."""
     return PackedLabel._from_payload(schema_from_desc(desc), int.from_bytes(data, "big"))
@@ -531,9 +516,6 @@ class PackedLabel(Label):
         return wire
 
     def __reduce__(self):
-        if packed_labels_disabled():
-            self._ensure()
-            return (_label_from_tree, (self._fields, self._size))
         schema = self._schema
         return (
             _label_from_wire,

@@ -14,13 +14,12 @@ named sub-labels via :func:`merge_labels`.
 
 from __future__ import annotations
 
-import os
 import random
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Dict, Iterable, Optional
 
 from .columnar import run_kernel as run_columnar_kernel
-from .labels import EMPTY_LABEL, BitString, Label, packed_labels_disabled
+from .labels import EMPTY_LABEL, BitString, Label
 from .network import Graph
 from .transcript import RunResult, Transcript
 from .views import NodeView, build_views
@@ -183,10 +182,10 @@ def active_tracer() -> Optional["TraceHook"]:
 # the sweep (one per execution, like the per-run Tracer of PR-4), so each
 # shared structure is decoded once per run instead of once per node.
 # Checkers that find no installed cache build a private one per node,
-# which is exactly the old decode-everything-locally behavior — the
-# ``REPRO_DISABLE_DECODE_CACHE=1`` escape hatch forces that path, and the
-# bit-identity suite pins canonical reports equal with the cache on and
-# off.  The slot is process-global like the label tap and trace hook.
+# which is exactly the old decode-everything-locally behavior; the
+# bit-identity suite reaches that path by substituting ``DecodeCache``
+# and pins canonical reports equal with the cache on and off.  The slot
+# is process-global like the label tap and trace hook.
 
 _DECODE_CACHE: Optional["DecodeCache"] = None
 
@@ -225,27 +224,8 @@ class DecodeCache:
         return value
 
 
-def install_decode_cache(cache: Optional[DecodeCache]) -> Optional[DecodeCache]:
-    """Install ``cache`` as the process-wide decode cache (replacing any)."""
-    global _DECODE_CACHE
-    _DECODE_CACHE = cache
-    return cache
-
-
-def clear_decode_cache(cache: Optional[DecodeCache] = None) -> None:
-    """Remove the active cache (or only ``cache``, if given and active)."""
-    global _DECODE_CACHE
-    if cache is None or _DECODE_CACHE is cache:
-        _DECODE_CACHE = None
-
-
 def active_decode_cache() -> Optional[DecodeCache]:
     return _DECODE_CACHE
-
-
-def decode_cache_disabled() -> bool:
-    """True when the ``REPRO_DISABLE_DECODE_CACHE`` escape hatch is set."""
-    return os.environ.get("REPRO_DISABLE_DECODE_CACHE", "") not in ("", "0")
 
 
 class Interaction:
@@ -301,14 +281,13 @@ class Interaction:
                 raise ProtocolError(f"prover sent a non-Label to edge ({u}, {v})")
             canonical[(u, v) if u <= v else (v, u)] = label
         if _LABEL_TAP is not None:
-            if not packed_labels_disabled():
-                # seal the round to its wire form first: the tap then
-                # fuzzes genuinely packed leaves (a bit flip lands on a
-                # known wire offset, reported from the sealed schemas)
-                for lbl in labels.values():
-                    lbl.pack()
-                for lbl in canonical.values():
-                    lbl.pack()
+            # seal the round to its wire form first: the tap then fuzzes
+            # genuinely packed leaves (a bit flip lands on a known wire
+            # offset, reported from the sealed schemas)
+            for lbl in labels.values():
+                lbl.pack()
+            for lbl in canonical.values():
+                lbl.pack()
             _LABEL_TAP.on_prover_round(
                 self, len(self.transcript.prover_rounds()), labels, canonical
             )
@@ -356,7 +335,7 @@ class Interaction:
         else:
             views = build_views(self.graph, self.transcript, inputs, shared_inputs)
             global _DECODE_CACHE
-            cache = None if decode_cache_disabled() else DecodeCache()
+            cache = DecodeCache()
             previous = _DECODE_CACHE
             _DECODE_CACHE = cache
             try:

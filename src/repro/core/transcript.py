@@ -12,14 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .labels import (
-    EMPTY_LABEL,
-    BitString,
-    Label,
-    PackedLabel,
-    packed_labels_disabled,
-    schema_from_desc,
-)
+from .labels import EMPTY_LABEL, BitString, Label, PackedLabel, schema_from_desc
 
 VERIFIER = "verifier"
 PROVER = "prover"
@@ -93,14 +86,7 @@ class ProverRound:
         # payload blob, and per-label (owner, schema index, byte offset)
         # entries.  Unpickling rebuilds lazy zero-copy PackedLabel views,
         # so a label crossing a process boundary costs bytes, not a
-        # pickled object graph.  The escape hatch preserves the
-        # object-tree pickle path.
-        if packed_labels_disabled():
-            return {
-                "labels": self.labels,
-                "edge_labels": self.edge_labels,
-                "kind": self.kind,
-            }
+        # pickled object graph.
         descs: list = []
         index: Dict[int, int] = {}
         blob = bytearray()
@@ -122,13 +108,7 @@ class ProverRound:
         return {"kind": self.kind, "wire": (tuple(descs), nodes, edges, bytes(blob))}
 
     def __setstate__(self, state):
-        wire = state.get("wire")
-        if wire is None:
-            self.labels = state["labels"]
-            self.edge_labels = state["edge_labels"]
-            self.kind = state["kind"]
-            return
-        descs, nodes, edges, blob = wire
+        descs, nodes, edges, blob = state["wire"]
         schemas = [schema_from_desc(d) for d in descs]
         self.labels = {
             v: PackedLabel.from_buffer(schemas[i], blob, off) for v, i, off in nodes

@@ -144,9 +144,11 @@ class SerialBackend(ExecutionBackend):
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Shut a pool down hard: cancel queued work, kill and reap its processes."""
-    # read before shutdown(), which drops the executor's process table
+    """Shut a pool down hard: cancel queued work, kill and reap its
+    processes, and wait for its management thread to finish."""
+    # read before shutdown(), which drops the process table and thread
     processes = list((getattr(pool, "_processes", None) or {}).values())
+    manager = getattr(pool, "_executor_manager_thread", None)
     pool.shutdown(wait=False, cancel_futures=True)
     for proc in processes:
         try:
@@ -155,6 +157,12 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
             pass
     for proc in processes:
         proc.join(timeout=5.0)
+    # A pool forked while this thread (or the queue feeder it joins)
+    # still runs can inherit the executor's shutdown lock held; a worker
+    # whose GC then fires the old executor's weakref callback blocks on
+    # that lock for good.
+    if manager is not None:
+        manager.join(timeout=5.0)
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -163,8 +171,9 @@ class ProcessPoolBackend(ExecutionBackend):
     The pool is forked on first use and serves every later batch, so
     its workers stay warm: imports done and per-process caches (label
     schemas, wire plans, instances) filled by earlier batches.  Like
-    remote agents, the workers see the parent process, its environment
-    and its ``REPRO_*`` settings as they were at first use.  Determinism
+    remote agents, the workers see the parent process as it was at
+    first use: the fork copies its environment and module state, and
+    later changes in the parent never reach a warm worker.  Determinism
     does not depend on that warmth: a kept worker runs batch after batch
     in one process, as the serial path always has, and every run
     rebuilds its state from its own seed streams.

@@ -17,9 +17,8 @@ Design lineage, deliberately:
   under a millisecond per batch, with no per-worker spec state.)
 * **Packed blob transport (PR 6).**  Frames are pickled payloads, so
   every label inside a spec (witness paths, pinned adversary state)
-  ships in the packed byte form automatically; the
-  ``REPRO_DISABLE_PACKED_LABELS=1`` hatch applies per process, and the
-  differential suite runs both legs over this backend.
+  ships in the packed byte form; the conformance suite pins this
+  backend's reports to the serial ones.
 * **Fault handling (PR 3).**  A dropped connection is a lost shard: the
   runs consume one attempt each, route through the
   ``_ResilientExecution`` engine every backend shares, and are

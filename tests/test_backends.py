@@ -6,7 +6,9 @@ keyed by run index alone, so where the run executes — in process, in a
 local pool worker, or on a socket-connected agent — cannot leave a trace
 in ``BatchReport.canonical_json()``.  This suite pins that
 differentially over the whole registry (honest + the universal fuzz
-family, packed and tree wire legs), property-tests the shard planner,
+family, on the kernel and the per-view decide path; pool and remote
+specs and records cross a process or socket boundary pickled),
+property-tests the shard planner,
 and drives the remote coordinator through seeded chaos (a worker killed
 mid-shard, a connection dropped mid-RESULT-blob) to show resubmission
 converges back to the fault-free serial bytes.
@@ -17,12 +19,14 @@ import os
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import columnar
 from repro.obs import metrics as obs_metrics
 from repro.runtime.backends import (
     ExecutionBackend,
@@ -70,11 +74,16 @@ def _run(task, adversary=None, *, backend=None, workers=0, runs=3, n=24,
         return runner.run(runs, n, seed=seed)
 
 
-def _set_wire(monkeypatch, packed):
-    if packed:
-        monkeypatch.delenv("REPRO_DISABLE_PACKED_LABELS", raising=False)
+def _set_decide(monkeypatch, decide):
+    """Put every node on one decide path, in this process and in the pool
+    workers forked after the patch (the remote agents are threads here)."""
+    if decide == "kernel":
+        # the conformance n sits below the size floor: lower it so the
+        # kernels genuinely decide these runs
+        monkeypatch.setattr(columnar, "MIN_NODES", 2)
     else:
-        monkeypatch.setenv("REPRO_DISABLE_PACKED_LABELS", "1")
+        monkeypatch.setattr(columnar, "_NP", None)
+        monkeypatch.setattr(columnar, "_NP_CHECKED", True)
 
 
 @pytest.fixture(scope="module")
@@ -82,8 +91,8 @@ def remote_backend():
     """One coordinator + two localhost worker agents for the whole module.
 
     The agents run on threads of this process (protocol-faithful at the
-    socket layer; the wire-format env flags are read per call, so both
-    packed legs exercise them) and serve every batch the module runs —
+    socket layer: specs and results still cross it pickled) and serve
+    every batch the module runs —
     the spec-once protocol re-ships each batch's spec on first contact.
     """
     backend = RemoteWorkerBackend(min_workers=2, accept_timeout=20.0)
@@ -100,16 +109,18 @@ def remote_backend():
 
 
 class TestBackendConformance:
-    """serial vs pool vs remote, all tasks, honest + fuzz, both wire legs."""
+    """serial vs pool vs remote, all tasks, honest + fuzz, kernel and
+    per-view decide: the in-process serial run is the reference the other
+    transports must match."""
 
-    @pytest.mark.parametrize("packed", [True, False], ids=["packed", "tree"])
+    @pytest.mark.parametrize("decide", ["kernel", "per-view"])
     @pytest.mark.parametrize(
         "task,adversary", CASES, ids=[f"{t}-{a or 'honest'}" for t, a in CASES]
     )
     def test_three_backends_byte_identical(
-        self, task, adversary, packed, remote_backend, monkeypatch
+        self, task, adversary, decide, remote_backend, monkeypatch
     ):
-        _set_wire(monkeypatch, packed)
+        _set_decide(monkeypatch, decide)
         serial = _run(task, adversary, backend=SerialBackend())
         with ProcessPoolBackend(2) as backend:
             pool = _run(task, adversary, backend=backend, workers=2)
@@ -220,6 +231,21 @@ class TestPoolProcessLifecycle:
         with pytest.raises(ValueError, match="intentional factory crash"):
             runner.run(8, 24, seed=11)
         assert multiprocessing.active_children() == []
+
+    def test_strict_abort_leaves_no_pool_thread_running(self):
+        # a pool forked while an aborted pool's management thread still
+        # runs can inherit that executor's shutdown lock held, and a
+        # worker whose GC fires the old executor's callback then hangs
+        spec = get_task("lr_sorting")
+        before = set(threading.enumerate())
+        runner = BatchRunner(
+            spec.protocol(), _crashing_factory, workers=2,
+            backend=ProcessPoolBackend(2, chunk_size=1),
+        )
+        with pytest.raises(ValueError, match="intentional factory crash"):
+            runner.run(8, 24, seed=11)
+        leftover = [t for t in threading.enumerate() if t not in before]
+        assert leftover == []
 
     def test_caller_owned_backend_outlives_the_runner(self):
         spec = get_task("lr_sorting")

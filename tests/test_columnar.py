@@ -7,18 +7,15 @@ path performs:
 1. for every label the builders can produce, the shift/mask extraction
    plan yields the same field values as ``PackedLabel``/tree decode,
    field by field, on both wire-backed and tree-backed rows (Hypothesis
-   drives this over random nested labels, with the object-tree hatch leg
-   included);
+   drives this over random nested labels);
 2. the leaf shifts agree with :func:`wire_leaf_span` -- the columns read
    exactly the bits the mutation engine reports as the field's wire span;
-3. every gate (escape hatch, missing numpy, size floor) degrades to the
-   per-view path without changing a single verdict.
+3. every gate (missing numpy, size floor) degrades to the per-view path
+   without changing a single verdict.
 
 Byte-identity of full batch reports across vector on/off is pinned by
 ``test_wire_differential.py``; this module covers the layer below.
 """
-
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -31,20 +28,20 @@ from repro.core.columnar import (
     extract_columns,
     numpy_available,
     run_kernel,
-    vector_decide_disabled,
-    vector_min_nodes,
 )
 from repro.core.labels import EMPTY_LABEL, BitString, PackedLabel, wire_leaf_span
 from repro.core.network import Graph, path_graph
 from repro.core.transcript import Transcript
 from repro.core.views import build_views
 from repro.obs import metrics
-from repro.runtime.registry import get_task
+from repro.runtime.registry import get_task, task_names
 from repro.runtime.runner import BatchRunner
 
 from test_wire_format import labels, _rebuild
 
 np = columnar._numpy()
+
+ALL_TASKS = sorted(task_names())
 
 needs_numpy = pytest.mark.skipif(np is None, reason="numpy not installed")
 
@@ -120,21 +117,6 @@ class TestExtractionProperty:
         _check_extraction(lbl)
 
     @given(labels())
-    @settings(max_examples=75, deadline=None)
-    def test_columnar_matches_decode_object_tree_leg(self, lbl):
-        # hypothesis forbids function-scoped fixtures, so save/restore the
-        # hatch by hand (mirrors test_wire_format's pickle property)
-        saved = os.environ.get("REPRO_DISABLE_PACKED_LABELS")
-        os.environ["REPRO_DISABLE_PACKED_LABELS"] = "1"
-        try:
-            _check_extraction(lbl)
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_DISABLE_PACKED_LABELS", None)
-            else:
-                os.environ["REPRO_DISABLE_PACKED_LABELS"] = saved
-
-    @given(labels())
     @settings(max_examples=100, deadline=None)
     def test_leaf_shifts_agree_with_wire_leaf_span(self, lbl):
         """The columns read exactly the bits wire_leaf_span reports."""
@@ -157,42 +139,37 @@ class TestExtractionProperty:
 
 
 class TestGates:
-    def test_hatch_flag_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
-        assert not vector_decide_disabled()
-        monkeypatch.setenv("REPRO_DISABLE_VECTOR_DECIDE", "0")
-        assert not vector_decide_disabled()
-        monkeypatch.setenv("REPRO_DISABLE_VECTOR_DECIDE", "1")
-        assert vector_decide_disabled()
-
-    def test_min_nodes_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VECTOR_MIN_NODES", raising=False)
-        assert vector_min_nodes() == columnar.DEFAULT_MIN_NODES
-        monkeypatch.setenv("REPRO_VECTOR_MIN_NODES", "7")
-        assert vector_min_nodes() == 7
-        monkeypatch.setenv("REPRO_VECTOR_MIN_NODES", "junk")
-        assert vector_min_nodes() == columnar.DEFAULT_MIN_NODES
-
-    def test_run_kernel_gates_fire_before_the_kernel(self, monkeypatch):
+    def test_run_kernel_gates_fire_before_the_kernel(self):
         calls = []
 
         def kernel(ctx):
             calls.append(ctx)
 
-        g = path_graph(4)
-        monkeypatch.setenv("REPRO_DISABLE_VECTOR_DECIDE", "1")
-        assert run_kernel(kernel, g, None) is None
-        monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
-        monkeypatch.delenv("REPRO_VECTOR_MIN_NODES", raising=False)
         # below the size floor, and the degenerate edgeless case
-        assert run_kernel(kernel, g, None) is None
+        assert path_graph(4).n < columnar.MIN_NODES
+        assert run_kernel(kernel, path_graph(4), None) is None
         assert run_kernel(kernel, Graph(64), None) is None
         assert calls == []
+
+    @needs_numpy
+    def test_lowered_size_floor_reaches_the_kernels(self, monkeypatch):
+        """The differential suites lower ``MIN_NODES`` so their small
+        graphs are decided by the kernels; without that the vector-on leg
+        would compare the per-view path with itself."""
+        spec = get_task("path_outerplanarity")
+
+        def decided(n):
+            with metrics.enabled_metrics() as reg:
+                BatchRunner(spec.protocol(), spec.yes_factory).run(1, n, seed=2)
+                return reg.counter("repro_vector_decide_nodes_total").value()
+
+        assert decided(24) == 0
+        monkeypatch.setattr(columnar, "MIN_NODES", 2)
+        assert decided(24) > 0
 
     def test_run_kernel_without_numpy(self, monkeypatch):
         monkeypatch.setattr(columnar, "_NP", None)
         monkeypatch.setattr(columnar, "_NP_CHECKED", True)
-        monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
         assert not numpy_available()
         g = path_graph(64)
         assert run_kernel(lambda ctx: None, g, None) is None
@@ -202,10 +179,11 @@ class TestGates:
 
 
 class TestNumpyAbsentFallback:
-    def test_batch_identical_without_numpy(self, monkeypatch):
-        """The pure-Python fallback is observationally the vector path."""
-        monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
-        spec = get_task("planarity")
+    @pytest.mark.parametrize("task", ALL_TASKS)
+    def test_batch_identical_without_numpy(self, task, monkeypatch):
+        """The pure-Python fallback is observationally the vector path,
+        on every task at a size above the default floor."""
+        spec = get_task(task)
 
         def run():
             runner = BatchRunner(spec.protocol(), spec.yes_factory)
@@ -216,26 +194,13 @@ class TestNumpyAbsentFallback:
         monkeypatch.setattr(columnar, "_NP_CHECKED", True)
         assert run() == with_np
 
-    def test_batch_identical_with_hatch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
-        spec = get_task("treewidth2")
-
-        def run():
-            runner = BatchRunner(spec.protocol(), spec.yes_factory)
-            return runner.run(2, 40, seed=3).canonical_json()
-
-        vector = run()
-        monkeypatch.setenv("REPRO_DISABLE_VECTOR_DECIDE", "1")
-        assert run() == vector
-
 
 # -- observability ----------------------------------------------------------
 
 
 @needs_numpy
 class TestMetricsCounters:
-    def test_vector_counters_accumulate(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
+    def test_vector_counters_accumulate(self):
         spec = get_task("planarity")
         with metrics.enabled_metrics() as reg:
             BatchRunner(spec.protocol(), spec.yes_factory).run(1, 48, seed=2)
@@ -244,8 +209,9 @@ class TestMetricsCounters:
         assert decided > 0
         assert fallback >= 0
 
-    def test_counters_silent_with_hatch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_VECTOR_DECIDE", "1")
+    def test_counters_silent_without_numpy(self, monkeypatch):
+        monkeypatch.setattr(columnar, "_NP", None)
+        monkeypatch.setattr(columnar, "_NP_CHECKED", True)
         spec = get_task("planarity")
         with metrics.enabled_metrics() as reg:
             BatchRunner(spec.protocol(), spec.yes_factory).run(1, 48, seed=2)

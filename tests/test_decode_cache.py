@@ -1,23 +1,21 @@
 """Bit-identity and bookkeeping of the decide-phase decode cache.
 
-The cache is a pure memo: with ``REPRO_DISABLE_DECODE_CACHE=1`` every
-checker falls back to a private per-node cache, which is exactly the old
-decode-everything-locally behavior.  These tests pin the canonical
-reports byte-identical with the cache on and off — serially and across
-worker processes — for every registered task, and cover the cache's
-counters, the metrics export, and the runner's auto-serial heuristic.
+The cache is a pure memo: with no cache installed every checker falls
+back to a private per-node cache, which is exactly the old
+decode-everything-locally behavior.  These tests reach that path by
+substituting ``protocol.DecodeCache`` (pool workers fork after the
+patch, so they inherit it), pin the canonical reports byte-identical
+with the cache on and off — serially and across worker processes — for
+every registered task, and cover the cache's counters, the metrics
+export, and the runner's auto-serial heuristic.
 """
 
 import pytest
 
 from repro.analysis.experiments import run_batch
-from repro.core.protocol import (
-    DecodeCache,
-    active_decode_cache,
-    clear_decode_cache,
-    decode_cache_disabled,
-    install_decode_cache,
-)
+from repro.core import protocol
+from repro.core.network import path_graph
+from repro.core.protocol import DecodeCache, Interaction, active_decode_cache
 from repro.obs import metrics as obs_metrics
 from repro.runtime.registry import canonical_name, get_task, task_names
 from repro.runtime.runner import BatchRunner, _usable_cores
@@ -25,38 +23,33 @@ from repro.runtime.runner import BatchRunner, _usable_cores
 ALL_TASKS = sorted(task_names())
 
 
-def _canonical(task, *, workers, disabled, monkeypatch, n=24, runs=3, seed=11):
-    if disabled:
-        # worker processes fork/spawn from this process and inherit the
-        # environment, so the escape hatch reaches them too
-        monkeypatch.setenv("REPRO_DISABLE_DECODE_CACHE", "1")
-    else:
-        monkeypatch.delenv("REPRO_DISABLE_DECODE_CACHE", raising=False)
+def _canonical(task, *, workers, disabled, n=24, runs=3, seed=11):
     spec = get_task(task)
-    runner = BatchRunner(spec.protocol(c=2), spec.yes_factory, workers=workers)
-    return runner.run(runs, n, seed=seed).canonical_json()
+    with pytest.MonkeyPatch.context() as mp:
+        if disabled:
+            mp.setattr(protocol, "DecodeCache", lambda: None)
+        with BatchRunner(
+            spec.protocol(c=2), spec.yes_factory, workers=workers
+        ) as runner:
+            return runner.run(runs, n, seed=seed).canonical_json()
 
 
 class TestBitIdentity:
     @pytest.mark.parametrize("task", ALL_TASKS)
-    def test_cache_on_off_serial(self, task, monkeypatch):
-        on = _canonical(task, workers=0, disabled=False, monkeypatch=monkeypatch)
-        off = _canonical(task, workers=0, disabled=True, monkeypatch=monkeypatch)
+    def test_cache_on_off_serial(self, task):
+        on = _canonical(task, workers=0, disabled=False)
+        off = _canonical(task, workers=0, disabled=True)
         assert on == off
 
     @pytest.mark.parametrize("task", ALL_TASKS)
-    def test_cache_on_off_two_workers(self, task, monkeypatch):
-        on = _canonical(task, workers=2, disabled=False, monkeypatch=monkeypatch)
-        off = _canonical(task, workers=2, disabled=True, monkeypatch=monkeypatch)
+    def test_cache_on_off_two_workers(self, task):
+        on = _canonical(task, workers=2, disabled=False)
+        off = _canonical(task, workers=2, disabled=True)
         assert on == off
 
-    def test_serial_matches_workers_with_cache(self, monkeypatch):
-        serial = _canonical(
-            "path_outerplanarity", workers=0, disabled=False, monkeypatch=monkeypatch
-        )
-        pooled = _canonical(
-            "path_outerplanarity", workers=2, disabled=False, monkeypatch=monkeypatch
-        )
+    def test_serial_matches_workers_with_cache(self):
+        serial = _canonical("path_outerplanarity", workers=0, disabled=False)
+        pooled = _canonical("path_outerplanarity", workers=2, disabled=False)
         assert serial == pooled
 
 
@@ -88,28 +81,31 @@ class TestDecodeCacheUnit:
         assert 1 not in cache.sub("b")
         assert cache.sub("a") is cache.sub("a")
 
-    def test_install_and_clear(self):
-        cache = install_decode_cache(DecodeCache())
-        try:
-            assert active_decode_cache() is cache
-            clear_decode_cache(DecodeCache())  # not the active one: no-op
-            assert active_decode_cache() is cache
-        finally:
-            clear_decode_cache(cache)
-        assert active_decode_cache() is None
+    def test_decide_scopes_a_fresh_cache_to_its_sweep(self):
+        first, second = _sweep_caches(), _sweep_caches()
+        assert all(isinstance(c, DecodeCache) for c in first + second)
+        assert first[0] is first[1] is first[2]  # shared by the sweep's nodes
+        assert first[0] is not second[0]
 
-    def test_disabled_env_hatch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_DECODE_CACHE", raising=False)
-        assert not decode_cache_disabled()
-        monkeypatch.setenv("REPRO_DISABLE_DECODE_CACHE", "0")
-        assert not decode_cache_disabled()
-        monkeypatch.setenv("REPRO_DISABLE_DECODE_CACHE", "1")
-        assert decode_cache_disabled()
+    def test_substitution_leaves_the_sweep_without_a_cache(self, monkeypatch):
+        # the cache-off reference the bit-identity tests compare against
+        monkeypatch.setattr(protocol, "DecodeCache", lambda: None)
+        assert _sweep_caches() == [None, None, None]
+
+
+def _sweep_caches():
+    """The decode cache each node's check sees during one decide sweep."""
+    seen = []
+    interaction = Interaction(path_graph(3))
+    interaction.verifier_round({})
+    interaction.prover_round({})
+    interaction.decide(lambda view: seen.append(active_decode_cache()) or True)
+    assert active_decode_cache() is None  # restored after the sweep
+    return seen
 
 
 class TestMetricsExport:
-    def test_counters_flow_to_registry(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_DECODE_CACHE", raising=False)
+    def test_counters_flow_to_registry(self):
         obs_metrics.enable()
         try:
             obs_metrics.REGISTRY.reset()
@@ -132,11 +128,11 @@ class TestMetricsExport:
 class TestAutoSerial:
     def test_small_batch_falls_back_to_serial(self):
         spec = get_task("lr_sorting")
-        auto = BatchRunner(
+        with BatchRunner(
             spec.protocol(c=2), spec.yes_factory, workers=2, min_runs_per_shard=8
-        )
+        ) as auto:
+            small = auto.run(4, 32, seed=5)  # 4 < 8 * 2 -> serial
         reference = BatchRunner(spec.protocol(c=2), spec.yes_factory, workers=0)
-        small = auto.run(4, 32, seed=5)  # 4 < 8 * 2 -> serial
         assert "auto_serial" in small.meta
         assert small.workers == 2  # the configured layout stays visible
         assert small.canonical_json() == reference.run(4, 32, seed=5).canonical_json()
@@ -144,24 +140,24 @@ class TestAutoSerial:
     def test_large_batch_keeps_pool_when_cores_allow(self, monkeypatch):
         monkeypatch.setattr("repro.runtime.runner._usable_cores", lambda: 4)
         spec = get_task("lr_sorting")
-        runner = BatchRunner(
+        with BatchRunner(
             spec.protocol(c=2), spec.yes_factory, workers=2, min_runs_per_shard=2
-        )
-        assert runner._auto_serial_reason(16) is None
+        ) as runner:
+            assert runner._auto_serial_reason(16) is None
 
     def test_single_core_box_falls_back(self, monkeypatch):
         monkeypatch.setattr("repro.runtime.runner._usable_cores", lambda: 1)
         spec = get_task("lr_sorting")
-        runner = BatchRunner(
+        with BatchRunner(
             spec.protocol(c=2), spec.yes_factory, workers=2, min_runs_per_shard=1
-        )
-        reason = runner._auto_serial_reason(64)
+        ) as runner:
+            reason = runner._auto_serial_reason(64)
         assert reason is not None and "core" in reason
 
     def test_default_never_second_guesses(self):
         spec = get_task("lr_sorting")
-        runner = BatchRunner(spec.protocol(c=2), spec.yes_factory, workers=2)
-        assert runner._auto_serial_reason(1) is None  # pool path preserved
+        with BatchRunner(spec.protocol(c=2), spec.yes_factory, workers=2) as runner:
+            assert runner._auto_serial_reason(1) is None  # pool path preserved
 
     def test_usable_cores_positive(self):
         assert _usable_cores() >= 1

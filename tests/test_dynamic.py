@@ -171,9 +171,8 @@ def test_stream_then_inverse_restores_certification(seed, n):
     assert after == before
 
 
-def test_reversibility_object_tree_leg(monkeypatch):
-    # the packed-labels escape hatch must preserve the same invariant
-    monkeypatch.setenv("REPRO_DISABLE_PACKED_LABELS", "1")
+def test_reversibility_planarity():
+    # the same invariant on the planarity stack at a pinned seed
     spec = ChurnCampaignSpec(task="planarity", n=14, seed=11, n_updates=8)
     g0 = initial_graph(spec)
     before = node_signatures(_certify("planarity", g0, 11))

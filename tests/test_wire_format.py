@@ -14,12 +14,16 @@ Hypothesis drives all three over randomized nested labels; a golden
 fixture (``tests/data/wire_golden.json``) additionally pins the exact
 on-wire bytes of one honest transcript per registered task, so any
 layout change — intentional or not — fails loudly instead of silently
-re-keying every shard buffer in the wild.
+re-keying every shard buffer in the wild.  Last, whole transcripts:
+pickling ships every prover round as packed buffers, losslessly, for
+every task honest and fuzzed, and a received transcript re-ships as the
+same bytes.
 """
 
 import json
 import os
 import pickle
+import random
 from pathlib import Path
 
 import pytest
@@ -33,7 +37,8 @@ from repro.core.labels import (
     schema_from_desc,
     wire_leaf_span,
 )
-from repro.runtime.registry import get_task, task_names
+from repro.core.protocol import active_label_tap, clear_label_tap
+from repro.runtime.registry import conformance_cases, get_task, task_names
 from repro.runtime.seeds import SeedSequence
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "wire_golden.json"
@@ -143,24 +148,12 @@ class TestRoundTrip:
 
     @given(labels())
     @settings(max_examples=100)
-    def test_pickle_round_trip_both_representations(self, lbl):
-        # hypothesis forbids function-scoped fixtures, so save/restore the
-        # hatch by hand (the CI object-tree leg sets it process-wide)
-        saved = os.environ.get("REPRO_DISABLE_PACKED_LABELS")
-        try:
-            os.environ.pop("REPRO_DISABLE_PACKED_LABELS", None)
-            packed = pickle.loads(pickle.dumps(lbl))
-            assert isinstance(packed, PackedLabel)
-            os.environ["REPRO_DISABLE_PACKED_LABELS"] = "1"
-            tree = pickle.loads(pickle.dumps(lbl))
-            tree_from_view = pickle.loads(pickle.dumps(packed))
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_DISABLE_PACKED_LABELS", None)
-            else:
-                os.environ["REPRO_DISABLE_PACKED_LABELS"] = saved
-        assert type(tree) is Label and type(tree_from_view) is Label
-        assert tree == lbl == packed == tree_from_view
+    def test_pickle_round_trip(self, lbl):
+        # a tree and a packed view both cross the pickle boundary packed
+        packed = pickle.loads(pickle.dumps(lbl))
+        repacked = pickle.loads(pickle.dumps(packed))
+        assert type(packed) is PackedLabel and type(repacked) is PackedLabel
+        assert lbl == packed == repacked
 
     @given(labels())
     @settings(max_examples=50)
@@ -310,3 +303,75 @@ def test_wire_golden_fixtures_match():
             f"no longer match tests/data/wire_golden.json (see this test's "
             f"docstring for the regeneration recipe)"
         )
+
+
+# -- 5. transcript transport ------------------------------------------------
+
+CASES = conformance_cases()
+
+
+def _case_transcripts(task, adversary, n=24, seed=11):
+    """The transcripts of run 0 of a conformance case, built the way
+    ``execute_one_run`` builds them (fuzz adversaries mutate the sealed
+    rounds through their label tap)."""
+    spec = get_task(task)
+    run_ss = SeedSequence(seed).child(0)
+    factory = spec.yes_factory
+    instance_seed = run_ss.child("instance").seed_int()
+    if hasattr(factory, "build_seeded"):
+        instance = factory.build_seeded(n, instance_seed)
+    else:
+        instance = factory(n, random.Random(instance_seed))
+    tap_before = active_label_tap()
+    try:
+        prover = None
+        if adversary is not None:
+            make = spec.adversaries[adversary]
+            if getattr(make, "wants_rng", False):
+                prover = make(instance, run_ss.child("adversary").rng())
+            else:
+                prover = make(instance)
+        result = spec.protocol().execute(
+            instance, prover=prover, rng=run_ss.child("protocol").rng()
+        )
+        if prover is not None and hasattr(prover, "finalize_report"):
+            prover.finalize_report(result)
+    finally:
+        tap = active_label_tap()
+        if tap is not tap_before:
+            clear_label_tap(tap)
+    if hasattr(result, "transcript"):
+        return [result.transcript]
+    return [sub.result.transcript for sub in result.sub_runs]
+
+
+class TestTranscriptTransport:
+    """Packed buffers are the only form a transcript crosses a process or
+    socket boundary in, so the transport must carry every label the
+    honest provers and the fuzz adversaries produce, on every task."""
+
+    @pytest.mark.parametrize(
+        "task,adversary", CASES, ids=[f"{t}-{a or 'honest'}" for t, a in CASES]
+    )
+    def test_round_trip_is_lossless(self, task, adversary):
+        for transcript in _case_transcripts(task, adversary):
+            clone = pickle.loads(pickle.dumps(transcript))
+            sent, received = transcript.prover_rounds(), clone.prover_rounds()
+            assert len(received) == len(sent)
+            for a, b in zip(sent, received):
+                assert b.labels == a.labels
+                assert b.edge_labels == a.edge_labels
+                for lbl in [*b.labels.values(), *b.edge_labels.values()]:
+                    assert type(lbl) is PackedLabel
+            assert clone.wire_hex() == transcript.wire_hex()
+            assert clone.proof_size_bits() == transcript.proof_size_bits()
+
+    @pytest.mark.parametrize(
+        "task,adversary", CASES, ids=[f"{t}-{a or 'honest'}" for t, a in CASES]
+    )
+    def test_received_transcript_reships_identically(self, task, adversary):
+        # an agent that forwards what it received sends the same bytes:
+        # the views re-seal to the buffers they were cut from
+        for transcript in _case_transcripts(task, adversary):
+            shipped = pickle.dumps(transcript)
+            assert pickle.dumps(pickle.loads(shipped)) == shipped
